@@ -35,7 +35,9 @@ from repro.net.arrival import (
     PoissonArrival,
 )
 from repro.net.source import DisorderedSource, NetworkSource
-from repro.sim.engine import JoinSimulation
+from repro.pipeline.executor import PlanExecutor
+from repro.pipeline.plan import JoinNode, SourceLeaf
+from repro.pipeline.shapes import build_plan, build_sources, make_plan_relations
 from repro.sim.query import Query
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
@@ -222,10 +224,35 @@ class QuerySpec:
             raise ConfigurationError(
                 f"unknown plan shape {self.plan_shape!r}; choose from {SHAPES}"
             )
-        if self.plan_shape != "join":
-            return self._build_plan_query(checks)
-        spec = self.workload()
-        rel_a, rel_b = make_relation_pair(spec)
+        root = self._join_plan() if self.plan_shape == "join" else self._shaped_plan()
+        executor = PlanExecutor(
+            root,
+            blocking_threshold=self.blocking_threshold,
+            keep_results=self.keep_results,
+            stop_after=self.stop_after,
+            journal=self.journal,
+            checks=checks,
+        )
+        return Query(
+            executor,
+            query_id=self.query_id or "q0",
+            weight=self.weight,
+            deadline=self.deadline,
+        )
+
+    def _operator(self) -> StreamingJoinOperator:
+        return make_operator(
+            self.algorithm,
+            self.memory_budget(),
+            n_buckets=self.n_buckets,
+            flush_fraction=self.flush_fraction,
+            fan_in=self.fan_in,
+            policy=self.policy,
+        )
+
+    def _join_plan(self) -> JoinNode:
+        """The two-source query: one join over sources A and B."""
+        rel_a, rel_b = make_relation_pair(self.workload())
         rate = self.rate if self.rate is not None else self.n / 2.0
         arrival_a = make_arrival(self.arrival, rate * self.rate_skew, self.n)
         arrival_b = make_arrival(self.arrival, rate, self.n)
@@ -250,40 +277,13 @@ class QuerySpec:
             src_b = DisorderedSource(
                 rel_b, arrival_b, dis_b, seed=self.source_seed_b
             )
-        operator = make_operator(
-            self.algorithm,
-            self.memory_budget(),
-            n_buckets=self.n_buckets,
-            flush_fraction=self.flush_fraction,
-            fan_in=self.fan_in,
-            policy=self.policy,
-        )
-        sim = JoinSimulation(
-            src_a,
-            src_b,
-            operator,
-            blocking_threshold=self.blocking_threshold,
-            keep_results=self.keep_results,
-            stop_after=self.stop_after,
-            journal=self.journal,
-            checks=checks,
-        )
-        return Query(
-            sim,
-            query_id=self.query_id or "q0",
-            weight=self.weight,
-            deadline=self.deadline,
+        operator = self._operator()
+        return JoinNode(
+            SourceLeaf(src_a), SourceLeaf(src_b), lambda: operator, label=operator.name
         )
 
-    def _build_plan_query(self, checks=None) -> Query:
-        """Materialise an n-way plan-shaped spec into a :class:`Query`."""
-        from repro.pipeline.executor import PlanExecutor
-        from repro.pipeline.shapes import (
-            build_plan,
-            build_sources,
-            make_plan_relations,
-        )
-
+    def _shaped_plan(self) -> JoinNode:
+        """An ``n_way``-relation plan of the spec's shape."""
         if self.n_way < 2 or (self.plan_shape == "star" and self.n_way < 3):
             raise ConfigurationError(
                 f"plan shape {self.plan_shape!r} needs more relations "
@@ -294,40 +294,14 @@ class QuerySpec:
             self.n_way, self.n, key_range, seed=self.seed
         )
         rate = self.rate if self.rate is not None else self.n / 2.0
-        arrival = make_arrival(self.arrival, rate, self.n)
         sources = build_sources(
             relations,
-            arrival,
+            make_arrival(self.arrival, rate, self.n),
             seed=self.source_seed_a,
             disorder=self.disorder(),
             shape=self.plan_shape,
         )
-        memory = self.memory_budget()
-
-        def factory() -> StreamingJoinOperator:
-            return make_operator(
-                self.algorithm,
-                memory,
-                n_buckets=self.n_buckets,
-                flush_fraction=self.flush_fraction,
-                fan_in=self.fan_in,
-                policy=self.policy,
-            )
-
-        executor = PlanExecutor(
-            build_plan(self.plan_shape, sources, factory),
-            blocking_threshold=self.blocking_threshold,
-            keep_results=self.keep_results,
-            stop_after=self.stop_after,
-            journal=self.journal,
-            checks=checks,
-        )
-        return Query(
-            executor,
-            query_id=self.query_id or "q0",
-            weight=self.weight,
-            deadline=self.deadline,
-        )
+        return build_plan(self.plan_shape, sources, self._operator)
 
     def to_dict(self) -> dict:
         """JSON-safe dict form (the wire format of ``repro serve``)."""
@@ -340,10 +314,39 @@ class QuerySpec:
             raise ConfigurationError(
                 f"query spec must be a JSON object, got {type(data).__name__}"
             )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        annotations = {f.name: str(f.type) for f in fields(cls)}
+        unknown = sorted(set(data) - set(annotations))
         if unknown:
             raise ConfigurationError(
-                f"unknown query spec fields {unknown}; known: {sorted(known)}"
+                f"unknown query spec fields {unknown}; "
+                f"known: {sorted(annotations)}"
             )
+        for name, value in data.items():
+            _check_json_type(name, value, annotations[name])
         return cls(**data)
+
+
+#: The JSON values each scalar field annotation accepts, and its name.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+}
+
+
+def _check_json_type(name: str, value, annotation: str) -> None:
+    """Reject a spec value whose JSON type does not match its field."""
+    kinds = annotation.split(" | ")
+    nullable = "None" in kinds
+    if value is None and nullable:
+        return
+    allowed, expected = _JSON_TYPES[kinds[0]]
+    # bool is an int subclass: only boolean fields take true/false.
+    if isinstance(value, bool) != (kinds[0] == "bool") or not isinstance(
+        value, allowed
+    ):
+        raise ConfigurationError(
+            f"query spec field {name!r} must be {expected}"
+            f"{' or null' if nullable else ''}, got {value!r}"
+        )

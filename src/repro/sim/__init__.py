@@ -3,20 +3,21 @@
 The kernel provides a deterministic substitute for the paper's
 wall-clock measurements: a :class:`~repro.sim.clock.VirtualClock`
 advanced by a :class:`~repro.sim.costs.CostModel`, and one heap-based
-:class:`~repro.sim.scheduler.EventScheduler` event loop that every
-driver adapts onto — :func:`~repro.sim.engine.run_join` feeds two
-:class:`~repro.net.source.NetworkSource` streams into a streaming join
-operator, the pipeline's :func:`~repro.pipeline.executor.run_plan`
-feeds a whole join tree — detecting source blocking exactly as
-Section 6.3 of the paper defines it (no arrival within a threshold
-``T``).  A :class:`~repro.sim.broker.ResourceBroker` can re-grant a
-global memory budget across the bound operators mid-run through the
-scheduler's timed events.
+:class:`~repro.sim.scheduler.EventScheduler` event loop, driven by the
+one query driver (:class:`~repro.pipeline.executor.PlanExecutor`) —
+the pipeline's :func:`~repro.pipeline.executor.run_plan` feeds a join
+tree, and :func:`~repro.sim.engine.run_join` is its one-join case over
+two :class:`~repro.net.source.NetworkSource` streams — detecting
+source blocking exactly as Section 6.3 of the paper defines it (no
+arrival within a threshold ``T``).  A
+:class:`~repro.sim.broker.ResourceBroker` can re-grant a global memory
+budget across the bound operators mid-run through the scheduler's
+timed events.
 
 The engine symbols (:func:`run_join`, :class:`JoinSimulation`,
-:class:`SimulationResult`, ...) are loaded lazily: the engine imports
-the operator protocol, which imports back into the storage and metrics
-packages, so an eager import here would create a cycle.
+:class:`SimulationResult`, ...) are loaded lazily: the engine builds on
+the pipeline driver, which imports the operator protocol and back into
+this package, so an eager import here would create a cycle.
 """
 
 from typing import TYPE_CHECKING

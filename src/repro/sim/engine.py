@@ -1,4 +1,4 @@
-"""The two-source join simulation, as an adapter on the event kernel.
+"""The two-source join simulation: a one-join plan.
 
 :func:`run_join` reproduces the measurement setup of the paper's
 Section 6: two sources deliver tuples at virtual instants drawn from
@@ -9,70 +9,41 @@ given the gap for background work (HMJ's and PMJ's merging, XJoin's
 reactive stage).  After both inputs end, ``finish`` runs the cleanup
 phase to completion.
 
-The loop itself — arrival selection, blocked-window gating, timed
-events — lives in :class:`~repro.sim.scheduler.EventScheduler` and is
-shared with the multi-join :class:`~repro.pipeline.executor.PlanExecutor`;
-this module only wires one operator and two sources into it.  The
-resulting system is a single-server queue: if tuples arrive faster
-than the operator can process them, the clock is driven by processing
-time; if the network is the bottleneck, the clock synchronises to
-arrivals.
+HMJ is a binary operator, so a two-source run is the smallest plan:
+:class:`JoinSimulation` builds ``JoinNode(SourceLeaf(a),
+SourceLeaf(b))`` around the given operator and hands it to the one
+query driver, :class:`~repro.pipeline.executor.PlanExecutor`, which
+owns the clock, the event kernel, run-batch and columnar delivery, the
+broker and the checks.  The resulting system is a single-server queue:
+if tuples arrive faster than the operator can process them, the clock
+is driven by processing time; if the network is the bottleneck, the
+clock synchronises to arrivals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.core.columnar import ColumnBatch
-from repro.errors import ConfigurationError
-from repro.joins.base import JoinRuntime, StreamingJoinOperator
+from repro.joins.base import StreamingJoinOperator
 from repro.metrics.recorder import MetricsRecorder
-from repro.net.source import DisorderedSource, NetworkSource, ReorderBuffer
+from repro.net.source import DisorderedSource, NetworkSource
+from repro.pipeline.executor import PipelineResult, PlanExecutor
+from repro.pipeline.plan import JoinNode, SourceLeaf
 from repro.sim.broker import ResourceBroker
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.journal import SimulationJournal
-from repro.sim.scheduler import EventScheduler
-from repro.storage.disk import SimulatedDisk
+
+#: The result of a two-source run: the driver's one result type.
+SimulationResult = PipelineResult
 
 
-@dataclass(slots=True)
-class SimulationResult:
-    """Everything a finished (or early-stopped) run exposes.
-
-    Attributes:
-        recorder: Per-result metrics (and retained results, if kept).
-        clock: The final virtual clock.
-        disk: The disk with its cumulative I/O counters.
-        operator: The operator, with whatever state it retains.
-        completed: False when the run stopped early via ``stop_after``.
-    """
-
-    recorder: MetricsRecorder
-    clock: VirtualClock
-    disk: SimulatedDisk
-    operator: StreamingJoinOperator
-    completed: bool
-    journal: SimulationJournal | None = None
-
-    @property
-    def results(self):
-        """Retained join results (empty if ``keep_results`` was False)."""
-        return self.recorder.results
-
-    @property
-    def count(self) -> int:
-        """Number of results produced."""
-        return self.recorder.count
-
-
-class JoinSimulation:
-    """A configured, steppable join simulation.
+class JoinSimulation(PlanExecutor):
+    """A configured, steppable two-source join: the one-join plan.
 
     Most callers should use :func:`run_join`; this class exists for
-    tests and examples that want to inspect state mid-run.
+    sessions, tests and examples that want to step or inspect a run.
+    ``spill_dir`` and ``columnar_delivery`` are documented on
+    :func:`run_join`; every other argument means what it means for
+    :class:`~repro.pipeline.executor.PlanExecutor`.
     """
 
     def __init__(
@@ -91,309 +62,23 @@ class JoinSimulation:
         columnar_delivery: bool = True,
         checks=None,
     ) -> None:
-        if stop_after is not None and stop_after < 1:
-            raise ConfigurationError(f"stop_after must be >= 1, got {stop_after!r}")
-        self._operator = operator
-        self._costs = costs or CostModel()
-        self._stop_after = stop_after
-        self._keep_results = keep_results
-        self._columnar = bool(columnar_delivery)
-
-        self.clock = VirtualClock()
-        if spill_dir is None:
-            self.disk = SimulatedDisk(self.clock, self._costs)
-        else:
-            # Imported lazily: the file-backed disk is optional and
-            # pulls in the serialization machinery.
-            from repro.storage.filedisk import FileBackedDisk
-
-            self.disk = FileBackedDisk(self.clock, self._costs, spill_dir)
-        self.recorder = MetricsRecorder(self.clock, self.disk, keep_results=keep_results)
-        self.journal = SimulationJournal(self.clock) if journal else None
-        operator.bind(
-            JoinRuntime(
-                clock=self.clock,
-                disk=self.disk,
-                costs=self._costs,
-                recorder=self.recorder,
-                journal=self.journal,
-            )
-        )
-        self.scheduler = EventScheduler(
-            clock=self.clock,
-            blocking_threshold=float(blocking_threshold),
-            # Only arm the early-stop predicate when an early stop is
-            # actually configured: an armed predicate forces the merge
-            # machinery into per-result synchronous emission (the
-            # predicate may read the live result count), which the
-            # batched columnar path otherwise avoids.
-            stop_when=(
-                self._stop_reached if stop_after is not None else None
+        self.spill_dir = spill_dir
+        self.columnar_delivery = bool(columnar_delivery)
+        super().__init__(
+            JoinNode(
+                SourceLeaf(source_a),
+                SourceLeaf(source_b),
+                lambda: operator,
+                label=operator.name,
             ),
-            journal=self.journal,
-        )
-        self._source_a = source_a
-        self._source_b = source_b
-        group = self.scheduler.add_batch_group(
-            self._deliver_batch,
-            self._deliver_batch_columns
-            if self._columnar and operator.supports_column_batches
-            else None,
-        )
-        # A disordered source is not a kernel stream: its tuples reach
-        # the operator through a reorder buffer's punctuation timers
-        # (event order, instants e_i + B).  Its stream index is the
-        # sentinel -1 so batch dispatch never attributes a run
-        # position to it.
-        self._buffers: list[ReorderBuffer] = []
-        self._stream_a = self._register_source(source_a, group)
-        self._stream_b = self._register_source(source_b, group)
-        self.scheduler.batching = bool(batch_delivery)
-        self.scheduler.add_worker(operator.has_background_work, operator.on_blocked)
-        if broker is not None:
-            broker.bind(operator)
-            broker.install(self.scheduler)
-        self._checks = None
-        if checks:
-            # Imported lazily: unchecked runs never touch the
-            # conformance layer.
-            from repro.testing.checks import arrival_map, coerce_checks
-
-            self._checks = coerce_checks(checks)
-            self._checks.watch_recorder(
-                self.recorder,
-                operator.name,
-                arrivals=arrival_map(source_a, source_b),
-            )
-            self._checks.watch_kernel(
-                self.scheduler, self.clock, [(operator.name, operator)]
-            )
-
-    def _register_source(self, src, group: int) -> int:
-        """Wire one source into the kernel; returns its stream index.
-
-        In-order sources register as batched streams.  Disordered
-        sources install a :class:`ReorderBuffer` instead and return the
-        sentinel index -1 (their releases are keep-alive timer events,
-        never group-run positions).
-        """
-        if isinstance(src, DisorderedSource):
-            buffer = ReorderBuffer(src, self._operator.on_tuple)
-            buffer.install(self.scheduler)
-            self._buffers.append(buffer)
-            return -1
-        return self.scheduler.add_stream(
-            src.peek_time,
-            self._deliver_from(src),
-            times=src.pending_times,
-            times_array=src.pending_times_array,
-            group=group,
-        )
-
-    @property
-    def reorder_buffers(self) -> list[ReorderBuffer]:
-        """The installed reorder buffers (empty for in-order runs)."""
-        return self._buffers
-
-    def _deliver_from(self, src: NetworkSource):
-        def deliver() -> None:
-            _, t = src.pop()
-            self._operator.on_tuple(t)
-
-        return deliver
-
-    def _deliver_batch(self, order: list[int], times: list[float]) -> None:
-        """Deliver one merged arrival run (see the kernel's batch docs).
-
-        Observably identical to per-event delivery: every tuple still
-        advances the clock to its own arrival instant before being
-        processed, and with an early stop armed the predicate is
-        checked between consecutive arrivals — exactly where the
-        per-event loop checks it — so ``stop_after`` keeps
-        single-result granularity.
-        """
-        src_a = self._source_a
-        src_b = self._source_b
-        stream_a = self._stream_a
-        if self._stop_after is not None:
-            operator = self._operator
-            advance_to = self.clock.advance_to
-            stop = self._stop_reached
-            first = True
-            for index, at in zip(order, times):
-                if first:
-                    first = False
-                elif stop():
-                    return
-                advance_to(at)
-                _, t = (src_a if index == stream_a else src_b).pop()
-                operator.on_tuple(t)
-            return
-        # No stop predicate can fire mid-run: pop both sources in two
-        # slices and hand the operator the whole run in one call.
-        n = len(order)
-        if self._columnar and self._operator.supports_column_batches:
-            # Columnar delivery: slice the sources' column images and
-            # hand the operator arrays instead of boxed tuples.  The
-            # arrival order, instants, and content are identical.
-            is_a = np.asarray(order, dtype=np.int64) == stream_a
-            self._operator.on_column_batch(
-                self._pop_column_batch(is_a, np.asarray(times, dtype=np.float64))
-            )
-            return
-        count_a = order.count(stream_a)
-        if count_a == n:
-            _, tuples = src_a.pop_batch(n)
-        elif count_a == 0:
-            _, tuples = src_b.pop_batch(n)
-        else:
-            _, batch_a = src_a.pop_batch(count_a)
-            _, batch_b = src_b.pop_batch(n - count_a)
-            next_a = iter(batch_a).__next__
-            next_b = iter(batch_b).__next__
-            tuples = [
-                next_a() if index == stream_a else next_b() for index in order
-            ]
-        self._operator.on_tuple_batch(tuples, times)
-
-    def _deliver_batch_columns(self, indices: np.ndarray, times: np.ndarray) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (arrays in, no boxing).
-
-        Registered with the kernel only when columnar delivery is
-        active; an armed early stop still routes through the list path,
-        whose per-tuple unroll keeps single-result granularity.
-        """
-        if self._stop_after is not None or not (
-            self._columnar and self._operator.supports_column_batches
-        ):
-            self._deliver_batch(indices.tolist(), times.tolist())
-            return
-        self._operator.on_column_batch(
-            self._pop_column_batch(indices == self._stream_a, times)
-        )
-
-    def _pop_column_batch(self, is_a: np.ndarray, times: np.ndarray) -> ColumnBatch:
-        """Pop one merged run from both sources as a :class:`ColumnBatch`.
-
-        ``is_a`` marks which run positions come from source A;
-        ``times`` holds the run's arrival instants.  Single-source runs
-        are zero-copy slices; mixed runs scatter the two sources'
-        column slices into run order.
-        """
-        src_a = self._source_a
-        src_b = self._source_b
-        n = len(is_a)
-        count_a = int(np.count_nonzero(is_a))
-        if count_a == n:
-            _, keys, tids, payloads = src_a.pop_batch_columns(n)
-        elif count_a == 0:
-            _, keys, tids, payloads = src_b.pop_batch_columns(n)
-        else:
-            _, keys_a, tids_a, pays_a = src_a.pop_batch_columns(count_a)
-            _, keys_b, tids_b, pays_b = src_b.pop_batch_columns(n - count_a)
-            keys = np.empty(n, dtype=np.int64)
-            keys[is_a] = keys_a
-            keys[~is_a] = keys_b
-            tids = np.empty(n, dtype=np.int64)
-            tids[is_a] = tids_a
-            tids[~is_a] = tids_b
-            payloads = None
-            if pays_a is not None or pays_b is not None:
-                payloads = [None] * n
-                for rows, side in (
-                    (np.flatnonzero(is_a), pays_a),
-                    (np.flatnonzero(~is_a), pays_b),
-                ):
-                    if side is not None:
-                        for j, r in enumerate(rows.tolist()):
-                            payloads[r] = side[j]
-        return ColumnBatch(keys=keys, tids=tids, is_a=is_a, times=times, payloads=payloads)
-
-    def _stop_reached(self) -> bool:
-        return self._stop_after is not None and self.recorder.count >= self._stop_after
-
-    def _finish(self) -> None:
-        if self.journal is not None:
-            self.journal.record("engine", "finish")
-        self._operator.finish(self.scheduler.unbounded_budget())
-
-    def _finalize_checks(self, completed: bool) -> None:
-        if self._checks is not None:
-            self._checks.finalize(
-                [(self._operator.name, self._operator)], self.clock, completed
-            )
-
-    # -- the uniform query-driver surface (see repro.sim.query) -------------
-
-    def operators(self) -> list[tuple[str, StreamingJoinOperator]]:
-        """``(label, operator)`` pairs — one join, so one entry."""
-        return [(self._operator.name, self._operator)]
-
-    def stop_reached(self) -> bool:
-        """Whether the ``stop_after`` early-stop condition holds."""
-        return self._stop_reached()
-
-    def finish_run(self) -> bool:
-        """Run the cleanup phase and finalise checks; True if completed.
-
-        Call only after the streaming phase drained without stopping;
-        the cleanup itself may still stop early (``stop_after`` during
-        the final merge), in which case False is returned.
-        """
-        self._finish()
-        completed = not self._stop_reached()
-        self._finalize_checks(completed)
-        return completed
-
-    def build_result(self, completed: bool) -> SimulationResult:
-        """Snapshot the run's outcome object."""
-        return self._result(completed)
-
-    def run(self) -> SimulationResult:
-        """Drive the simulation to completion (or to the early stop)."""
-        if not self.scheduler.run():
-            return self._result(completed=False)
-        return self._result(completed=self.finish_run())
-
-    def stream(self):
-        """Drive the simulation, yielding results as they are produced.
-
-        Yields ``(JoinResult, ResultEvent)`` pairs.  While the sources
-        stream, results surface with single-arrival granularity; the
-        cleanup phase's results are yielded together after it completes
-        (operators finish in one protocol call).  Works with
-        ``keep_results=False`` too: yielded results come from a tap on
-        the recorder, so streaming consumers do not force the full
-        output history to stay resident.
-        """
-        # Batch delivery would surface a whole run's results per step;
-        # streaming promises single-arrival granularity, so it stays on
-        # the per-event path (same numbers, finer interleaving).
-        self.scheduler.batching = False
-        fresh: list = []
-        self.recorder.add_tap(lambda result, event: fresh.append((result, event)))
-
-        def drain():
-            batch = fresh.copy()
-            fresh.clear()
-            yield from batch
-
-        while self.scheduler.step():
-            yield from drain()
-        yield from drain()
-        if not self._stop_reached():
-            self._finish()
-            self._finalize_checks(completed=not self._stop_reached())
-            yield from drain()
-
-    def _result(self, completed: bool) -> SimulationResult:
-        return SimulationResult(
-            recorder=self.recorder,
-            clock=self.clock,
-            disk=self.disk,
-            operator=self._operator,
-            completed=completed,
-            journal=self.journal,
+            costs=costs,
+            blocking_threshold=blocking_threshold,
+            keep_results=keep_results,
+            stop_after=stop_after,
+            journal=journal,
+            broker=broker,
+            batch_delivery=batch_delivery,
+            checks=checks,
         )
 
 
@@ -506,9 +191,7 @@ def run_join(
         columnar_delivery=columnar_delivery,
         checks=checks,
     )
-    # A solo run is a one-query session: the Query lifecycle dispatches
-    # exactly the step sequence ``sim.run()`` always did, so every pin
-    # stays byte-identical (see repro.sim.query).
+    # A solo run is a one-query session (see repro.sim.query).
     from repro.sim.query import Query
 
     return Query(sim).run()

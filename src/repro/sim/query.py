@@ -1,21 +1,19 @@
 """One query as a first-class scheduler participant.
 
-Historically a :class:`~repro.sim.engine.JoinSimulation` (or a
-:class:`~repro.pipeline.executor.PlanExecutor`) *owned* the process: it
-built the kernel, ran it to completion, and returned.  A multi-tenant
-service inverts that relationship — many queries share one machine —
-so the per-query state lives in a :class:`Query` object: the driver
-(operators, sources, recorder, checks, journal, its own virtual clock
-and kernel), the stop condition, and an explicit lifecycle.
+A query driver (:class:`~repro.pipeline.executor.PlanExecutor`, or the
+two-source :class:`~repro.sim.engine.JoinSimulation` built on it) owns
+a query's kernel, but not the process: a multi-tenant service runs
+many queries on one machine.  So the per-query lifecycle lives in a
+:class:`Query` object: the driver (operators, sources, recorder,
+checks, journal, its own virtual clock and kernel), the stop
+condition, and an explicit lifecycle.
 
-A ``Query`` wraps any *driver* exposing the uniform surface both
-engines implement:
+A ``Query`` wraps the driver through its uniform surface:
 
 * ``scheduler`` — the query's :class:`~repro.sim.scheduler.EventScheduler`;
 * ``clock`` / ``recorder`` / ``journal`` — the query's private
   measurement state (triples stay pinnable per tenant);
 * ``operators()`` — ``(label, operator)`` pairs, for memory arbitration;
-* ``stop_reached()`` — the ``stop_after`` early-stop predicate;
 * ``finish_run()`` — the cleanup phase plus check finalisation,
   returning whether the run completed;
 * ``build_result(completed)`` — the driver's result object.
@@ -68,9 +66,10 @@ class Query:
     """One query's driver plus its scheduler-participant lifecycle.
 
     Args:
-        driver: A :class:`~repro.sim.engine.JoinSimulation` or
-            :class:`~repro.pipeline.executor.PlanExecutor` (anything
-            with the uniform driver surface, see module docstring).
+        driver: A :class:`~repro.pipeline.executor.PlanExecutor`
+            (a :class:`~repro.sim.engine.JoinSimulation` is one), or
+            anything with the uniform driver surface (see module
+            docstring).
         query_id: Stable identifier used in journals and service events.
         weight: Arbitration weight under weighted broker policies
             (finite, > 0).
@@ -103,7 +102,7 @@ class Query:
         self.weight = float(weight)
         self.deadline = deadline
         self.state = QueryState.PENDING
-        #: The driver's result object (type depends on the driver).
+        #: The driver's result object.
         self.result: Any = None
         self.completed: bool | None = None
         #: Session time at which the query was admitted; a session maps
@@ -287,10 +286,10 @@ class Query:
     def conclude(self):
         """Finalise after the streaming phase ended; returns the result.
 
-        Mirrors what the engines' ``run()`` always did: a stopped run
-        (early stop or cancellation) skips the cleanup phase and
-        reports ``completed=False``; otherwise ``finish_run()`` drives
-        cleanup (which may itself stop early) and the checks finalise.
+        A stopped run (early stop or cancellation) skips the cleanup
+        phase and reports ``completed=False``; otherwise
+        ``finish_run()`` drives cleanup (which may itself stop early)
+        and the checks finalise.
         """
         if self.state is not QueryState.RUNNING:
             raise ProtocolError(

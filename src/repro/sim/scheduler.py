@@ -1,11 +1,11 @@
 """The event-driven simulation kernel.
 
-One heap-ordered loop drives every simulation in this repository:
-:class:`~repro.sim.engine.JoinSimulation` (one join, two sources) and
-:class:`~repro.pipeline.executor.PlanExecutor` (a join tree over any
-number of leaves) are thin adapters over the same
-:class:`EventScheduler`.  The kernel owns the three behaviours the two
-pre-kernel loops used to duplicate:
+One heap-ordered loop drives every simulation in this repository.  Its
+one client is the query driver,
+:class:`~repro.pipeline.executor.PlanExecutor`, which runs a join tree
+over any number of leaves; a two-source run
+(:class:`~repro.sim.engine.JoinSimulation`) is the one-join plan.  The
+kernel owns three behaviours:
 
 * **arrival selection** — each registered stream keeps exactly one
   pending-arrival event on a binary heap keyed by
@@ -51,8 +51,8 @@ always safe, merely slower — so the batched and per-event paths are
 observably identical (the equivalence suite pins this).
 
 The kernel knows nothing about joins: streams are ``(peek, deliver)``
-callable pairs, workers are ``(has_work, run)`` pairs, and the
-adapters decide what delivering or working means.
+callable pairs, workers are ``(has_work, run)`` pairs, and the driver
+decides what delivering or working means.
 """
 
 from __future__ import annotations
@@ -364,7 +364,7 @@ class EventScheduler:
 
         Returns False when the streaming phase is over: the stop
         predicate fired, or no arrival remains (pending timers are then
-        dropped — cleanup is the adapters' job).
+        dropped — cleanup is the driver's job).
         """
         if self.stopped:
             return False

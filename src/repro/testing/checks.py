@@ -11,8 +11,9 @@ hook — and checks, while the simulation executes:
 * **monotone result I/O** — the cumulative page-I/O column never
   decreases;
 * **causal timestamps** — no result is emitted before both of its
-  constituent tuples arrived (engine runs only; the pipeline
-  manufactures intermediate tuples whose arrivals are results);
+  constituent tuples arrived (at every join whose two inputs are
+  untransformed plan leaves; joins above them see manufactured
+  intermediate tuples whose arrivals are results);
 * **memory within grant** — polled after every kernel step, no
   operator's pool exceeds its current capacity;
 * **monotone kernel clock** — the virtual clock never moves backwards
@@ -27,7 +28,7 @@ state, so a checked run produces the identical ``(count, clock, io)``
 triple as an unchecked one — the determinism pins stay byte-identical
 whether or not ``checks=`` is passed.
 
-Use via the engines::
+Use via the drivers::
 
     checks = InvariantChecks(mode="collect")
     result = run_join(src_a, src_b, operator, checks=checks)
@@ -46,7 +47,7 @@ from repro.errors import ConfigurationError, ConformanceViolationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.joins.base import StreamingJoinOperator
     from repro.metrics.recorder import MetricsRecorder
-    from repro.net.source import NetworkSource
+    from repro.net.source import DisorderedSource, NetworkSource, SourceCursor
     from repro.sim.clock import VirtualClock
     from repro.sim.scheduler import EventScheduler
 
@@ -71,17 +72,24 @@ class Violation:
         return f"[{self.time:.6f}] {self.actor}: {self.check} — {self.message}"
 
 
-def arrival_map(*sources: "NetworkSource") -> dict[tuple[str, int], float]:
+def arrival_map(
+    *sources: "NetworkSource | SourceCursor | DisorderedSource",
+    sides: Sequence[str] | None = None,
+) -> dict[tuple[str, int], float]:
     """Map every source tuple's identity to its arrival instant.
 
     Sources materialise their schedules up front, so the map is exact
-    and free of simulation side effects.
+    and free of simulation side effects.  ``sides`` gives, per source,
+    the side its tuples play at their join: a plan relabels each leaf
+    tuple to that side, so the identity is ``(side, tid)``.  Without
+    it a tuple keeps its own label.
     """
     mapping: dict[tuple[str, int], float] = {}
-    for source in sources:
+    for i, source in enumerate(sources):
+        side = sides[i] if sides is not None else None
         times, _ = source.pending_times()
         for t, at in zip(source.relation, times):
-            mapping[t.identity()] = at
+            mapping[(side or t.source, t.tid)] = at
     return mapping
 
 
@@ -94,7 +102,7 @@ class InvariantChecks:
             first violation; ``"collect"`` accumulates every violation
             on :attr:`violations` (the conformance CLI's mode).
 
-    One instance watches one run.  The engines call the ``watch_*`` /
+    One instance watches one run.  The driver calls the ``watch_*`` /
     ``finalize`` hooks; user code only constructs the instance, passes
     it as ``checks=``, and inspects it afterwards.
     """
@@ -124,7 +132,7 @@ class InvariantChecks:
         if self._mode == "raise":
             raise ConformanceViolationError(violation.render())
 
-    # -- attachment hooks (called by the engines) ----------------------------
+    # -- attachment hooks (called by the driver) -----------------------------
 
     def watch_recorder(
         self,
@@ -137,7 +145,7 @@ class InvariantChecks:
         ``arrivals`` (identity → arrival instant, see
         :func:`arrival_map`) enables the causal-timestamp check; leave
         it ``None`` when constituent tuples have no network arrival
-        (pipeline intermediates).
+        (plan intermediates).
         """
         seen: set[tuple] = set()
         last = [0.0, 0]  # previous event's (time, io)
@@ -262,7 +270,7 @@ def merged_violations(
 
 
 def coerce_checks(checks) -> "InvariantChecks | None":
-    """Normalise the engines' ``checks=`` argument.
+    """Normalise the drivers' ``checks=`` argument.
 
     Accepts ``None`` / ``False`` (disabled), ``True`` (a fresh raising
     checker), or an :class:`InvariantChecks` instance.

@@ -98,6 +98,27 @@ def test_protocol_rejects_bad_spec_without_dying():
     assert "unknown query spec fields" in errors[1]["error"]
 
 
+def test_mistyped_spec_gets_an_error_and_the_connection_keeps_serving():
+    spec = QuerySpec(query_id="ok", algorithm="hmj", n=60, seed=13)
+
+    async def scenario(host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        await reader.readline()  # ready
+        for body in ({"memory": "x"}, spec.to_dict()):
+            writer.write(json.dumps({"op": "query", "spec": body}).encode() + b"\n")
+        await writer.drain()
+        events = []
+        while not events or events[-1]["event"] not in ("done", "failed"):
+            events.append(json.loads(await reader.readline()))
+        writer.close()
+        return events
+
+    events = asyncio.run(_with_server(scenario))
+    assert events[0]["event"] == "error" and "'memory'" in events[0]["error"]
+    assert events[-1]["event"] == "done"
+    assert events[-1]["id"] == "ok" and events[-1]["completed"] is True
+
+
 def test_query_lifecycle_streams_results_then_done():
     spec = QuerySpec(query_id="t", algorithm="hmj", n=100, seed=13)
 

@@ -32,6 +32,23 @@ def test_from_dict_rejects_unknown_fields_and_non_objects():
         QuerySpec.from_dict(["not", "a", "dict"])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"memory": "x"},
+        {"seed": "s"},
+        {"n": "10"},
+        {"rate": "fast"},
+        {"weight": "w"},
+    ],
+)
+def test_from_dict_rejects_mistyped_fields(bad):
+    """A wrongly typed value is a configuration error, not a crash."""
+    (name,) = bad
+    with pytest.raises(ConfigurationError, match=f"field {name!r}"):
+        QuerySpec.from_dict(bad).build()
+
+
 def test_build_produces_a_pending_query_for_every_algorithm():
     for name in ALGORITHMS:
         query = QuerySpec(algorithm=name, n=80).build()

@@ -17,6 +17,10 @@ sequence.  This suite pins that equivalence three ways:
 * an explicit ``stop_after`` granularity check: the batched paths must
   halt after the same number of delivered tuples as the per-tuple path,
   not at the end of the batch the stop fired in.
+
+A second axis is the driver: ``run_join`` is the one-join plan, so
+``run_plan`` over the same two leaves must give the identical signature
+for every operator, per-tuple and batched.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from repro.joins.pmj import ProgressiveMergeJoin
 from repro.joins.xjoin import XJoin
 from repro.net.arrival import ConstantRate, ParetoArrival, PoissonArrival
 from repro.net.source import NetworkSource
+from repro.pipeline import join, leaf, run_plan
 from repro.sim.engine import run_join
+from repro.testing.conformance import OPERATORS
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
 SCALE = BenchScale(n_per_source=400, seed=7)
@@ -257,3 +263,75 @@ def test_retained_results_identical_across_paths(op_kind):
         ]
     assert sequences["fused"] == sequences["per_tuple"]
     assert sequences["columnar"] == sequences["per_tuple"]
+
+
+# -- the driver axis: a one-join plan is run_join ---------------------------
+
+_ONE_JOIN_ARRIVALS = {
+    "poisson": (lambda: PoissonArrival(SCALE.fast_rate), 1.0),
+    "bursty": (_burst, BLOCKING_T),
+}
+
+
+@pytest.mark.parametrize("arrival", sorted(_ONE_JOIN_ARRIVALS))
+@pytest.mark.parametrize("op_kind", ["hmj", "xjoin", "pmj", "dphj", "ripple", "shj"])
+def test_one_join_plan_matches_run_join_on_every_path(op_kind, arrival):
+    """``run_plan`` of ``join(leaf(a), leaf(b))`` equals ``run_join``.
+
+    Memory holds 10% of the input, so flushes (and, under bursts,
+    blocked-window merges) interleave with arrivals.  ``run_plan`` has
+    no columnar switch: batched, it takes the same columnar or boxed
+    run delivery ``run_join`` defaults to.
+    """
+    make_arrival, threshold = _ONE_JOIN_ARRIVALS[arrival]
+    memory = SCALE.spec.memory_capacity(0.10)
+
+    def sources():
+        rel_a, rel_b = make_relation_pair(SCALE.spec)
+        return (
+            NetworkSource(rel_a, make_arrival(), seed=11),
+            NetworkSource(rel_b, make_arrival(), seed=22),
+        )
+
+    signatures = {}
+    for label, path in PATHS.items():
+        operator = OPERATORS[op_kind](memory, SCALE)
+        signatures[f"run_join/{label}"] = _signature(
+            run_join(*sources(), operator, blocking_threshold=threshold, **path)
+        )
+    for batched in (False, True):
+        src_a, src_b = sources()
+        operator = OPERATORS[op_kind](memory, SCALE)
+        result = run_plan(
+            join(leaf(src_a), leaf(src_b), lambda: operator),
+            blocking_threshold=threshold,
+            batch_delivery=batched,
+        )
+        signatures[f"run_plan/batched={batched}"] = _signature(result)
+    reference = signatures["run_join/per_tuple"]
+    assert reference[0] > 0
+    for label, signature in signatures.items():
+        assert signature == reference, label
+
+
+def test_one_join_plan_delivers_column_batches():
+    """The columnar path is the default for a one-join plan, not a replay."""
+    rel_a, rel_b = make_relation_pair(SCALE.spec)
+    operator = _hmj()
+    batches = []
+    deliver = operator.on_column_batch
+
+    def spy(batch):
+        batches.append(len(batch.keys))
+        deliver(batch)
+
+    operator.on_column_batch = spy
+    run_plan(
+        join(
+            leaf(NetworkSource(rel_a, _fast(), seed=11)),
+            leaf(NetworkSource(rel_b, _fast(), seed=22)),
+            lambda: operator,
+        )
+    )
+    assert sum(batches) == 2 * SCALE.n_per_source
+    assert len(batches) < SCALE.n_per_source

@@ -19,6 +19,7 @@ from repro.net.source import NetworkSource
 from repro.pipeline.executor import run_plan
 from repro.pipeline.plan import join, leaf
 from repro.sim.engine import run_join, stream_join
+from repro.storage.tuples import SOURCE_A, Tuple
 from repro.testing import InvariantChecks
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
@@ -222,6 +223,61 @@ def test_result_before_arrival_detected():
     checks = InvariantChecks(mode="collect")
     run_join(src_a, src_b, _PsychicSHJ(matching[-1]), checks=checks)
     assert "result-before-arrival" in _checks_fired(checks)
+
+
+def test_result_before_arrival_detected_at_a_plan_join():
+    """A plan join over two leaves is checked, keyed by the side played.
+
+    The leaves are swapped — relation B plays side A — so the tuples
+    reach the psychic join relabelled, and only a side-keyed arrival
+    map can tell when the pair's partner arrives.  The join sits below
+    another join, so this is not the two-source special case.
+    """
+    spec = WorkloadSpec(n_a=40, n_b=40, key_range=10, seed=3)
+    rel_a, rel_b = make_relation_pair(spec)
+    first_key = rel_a[0].key
+    late = [t for t in rel_b.tuples if t.key == first_key][-1]
+    # B's last matching tuple, as the bottom join sees it: on side A.
+    partner = Tuple(key=late.key, tid=late.tid, source=SOURCE_A, payload=late.payload)
+    psychic = _PsychicSHJ(partner)
+    plan = join(
+        join(
+            leaf(NetworkSource(rel_b, ConstantRate(2000.0), seed=22)),
+            leaf(NetworkSource(rel_a, ConstantRate(2000.0), seed=11)),
+            lambda: psychic,
+            label="bottom",
+        ),
+        leaf(NetworkSource(rel_a, ConstantRate(2000.0), seed=33)),
+        SymmetricHashJoin,
+        label="top",
+    )
+    checks = InvariantChecks(mode="collect")
+    run_plan(plan, checks=checks)
+    early = [v for v in checks.violations if v.check == "result-before-arrival"]
+    assert early and {v.actor for v in early} == {"bottom"}
+
+
+def test_swapped_plan_leaves_are_checked_by_side_played():
+    """A clean join over swapped leaves raises no causality alarm.
+
+    Both relations number their tids from 0.  Relation B arrives fast
+    and plays side A; relation A arrives slowly and plays side B.  A
+    map keyed by each tuple's own label would look a relabelled B
+    tuple up as the slow A tuple with the same tid, and flag results
+    that are in fact on time.
+    """
+    rel_a, rel_b = make_relation_pair(
+        WorkloadSpec(n_a=40, n_b=40, key_range=10, seed=3)
+    )
+    plan = join(
+        leaf(NetworkSource(rel_b, ConstantRate(2000.0), seed=22)),
+        leaf(NetworkSource(rel_a, ConstantRate(20.0), seed=11)),
+        SymmetricHashJoin,
+    )
+    checks = InvariantChecks(mode="collect")
+    result = run_plan(plan, checks=checks)
+    assert result.count > 0
+    assert checks.ok, checks.report()
 
 
 def test_merged_violations_tags_per_tenant():
