@@ -93,6 +93,34 @@ WorkFn = Callable[[WorkBudget], None]
 StopFn = Callable[[], bool]
 TimerFn = Callable[[], None]
 
+#: Per-cursor prefix the array run extraction merges first (grown 4x
+#: until a cut is found or the prefix covers the pending schedule).
+RUN_WINDOW = 1024
+
+
+def _merge_two(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stable merge of one or two sorted time arrays.
+
+    Returns the merged times and, for two inputs, whether each element
+    came from the first.  ``searchsorted`` with side="left"/"right"
+    lands the first array's elements before equal-time elements of the
+    second — exact heap order when the first belongs to the stream with
+    the lower registration index.
+    """
+    if len(parts) == 1:
+        return parts[0], None
+    ta, tb = parts
+    na, nb = ta.size, tb.size
+    merged = np.empty(na + nb, dtype=np.float64)
+    isa = np.empty(na + nb, dtype=bool)
+    pos_a = np.arange(na) + np.searchsorted(tb, ta, side="left")
+    pos_b = np.arange(nb) + np.searchsorted(ta, tb, side="right")
+    merged[pos_a] = ta
+    merged[pos_b] = tb
+    isa[pos_a] = True
+    isa[pos_b] = False
+    return merged, isa
+
 
 @dataclass(slots=True)
 class _Stream:
@@ -498,7 +526,8 @@ class EventScheduler:
         at identical elements.
         """
         threshold = self.blocking_threshold
-        bounded = bound_time != float("inf")
+        inf = float("inf")
+        bounded = bound_time != inf
         cursors: list[tuple[np.ndarray, int]] = []
         for member in members:
             times_fn = member.times_array
@@ -507,58 +536,86 @@ class EventScheduler:
             arr, pos = times_fn()
             pending = arr[pos:]
             if bounded and pending.size:
-                # Arrivals beyond the bound can never join the run;
-                # trimming keeps the merge proportional to the
-                # deliverable window, not the remaining schedule.
-                # Equal-time arrivals stay — the tie rules below
-                # decide whether they make the run.
+                # Arrivals beyond the bound can never join the run, so
+                # a binary search drops them before the merge.  Equal-
+                # time arrivals stay — the tie rules below decide
+                # whether they make the run.
                 pending = pending[: np.searchsorted(pending, bound_time, side="right")]
             if pending.size:
                 cursors.append((pending, member.index))
         if not cursors or len(cursors) > 2:
             return None
-        if len(cursors) == 1:
-            merged, only_index = cursors[0]
-            isa = None
-            index_a = index_b = only_index
-        else:
-            # Stable two-way merge via searchsorted: cursor 0 holds
-            # the lower registration index, so side="left"/"right"
-            # land its elements before equal-time elements of cursor
-            # 1, matching exact heap order.
-            (ta, index_a), (tb, index_b) = cursors
-            na, nb = ta.size, tb.size
-            merged = np.empty(na + nb, dtype=np.float64)
-            isa = np.empty(na + nb, dtype=bool)
-            pos_a = np.arange(na) + np.searchsorted(tb, ta, side="left")
-            pos_b = np.arange(nb) + np.searchsorted(ta, tb, side="right")
-            merged[pos_a] = ta
-            merged[pos_b] = tb
-            isa[pos_a] = True
-            isa[pos_b] = False
-        # The same float expression as the scalar walk — t > prev +
-        # threshold — so rounding behaves identically element-wise.
-        stop = merged[1:] > merged[:-1] + threshold
-        if bounded:
-            tail = merged[1:]
-            tie_a = index_a < bound_index
-            tie_b = index_b < bound_index
-            if tie_a == tie_b:
-                # t > bound or (t == bound and not tie_ok) collapses
-                # to >= when ties lose and > when ties win.
-                stop |= (tail > bound_time) if tie_a else (tail >= bound_time)
-            else:
-                assert isa is not None
-                tie_ok = np.where(isa[1:], tie_a, tie_b)
-                stop |= (tail > bound_time) | ((tail == bound_time) & ~tie_ok)
-        hits = np.flatnonzero(stop)
-        cut = int(hits[0]) + 1 if hits.size else merged.size
-        times = merged[:cut]
-        if isa is None:
-            indices = np.full(cut, index_a, dtype=np.int64)
-        else:
-            indices = np.where(isa[:cut], index_a, index_b)
-        return indices, times
+        index_a = cursors[0][1]
+        index_b = cursors[-1][1]
+        tie_a = index_a < bound_index
+        tie_b = index_b < bound_index
+        # Merge window by window: each pass takes every pending time
+        # strictly below the smaller cursor's window-th time.  Those
+        # times follow everything merged so far and lead the rest, so
+        # the concatenated pieces are the full merge's prefix and the
+        # first cut found in them is the cut of the whole schedule.
+        # Without a cut the window grows 4x until it covers the
+        # schedule, so the work per step follows the run, not the
+        # remaining schedule.
+        pieces: list[np.ndarray] = []
+        piece_sides: list[np.ndarray] = []
+        merged_upto = [0] * len(cursors)
+        merged_size = 0
+        last = 0.0
+        window = RUN_WINDOW
+        cut = -1
+        while cut < 0:
+            limit = min(
+                (float(sched[window]) for sched, _ in cursors if sched.size > window),
+                default=inf,
+            )
+            parts = []
+            for c, (sched, _) in enumerate(cursors):
+                upto = (
+                    sched.size
+                    if limit == inf
+                    else int(np.searchsorted(sched, limit, side="left"))
+                )
+                parts.append(sched[merged_upto[c] : upto])
+                merged_upto[c] = upto
+            piece, isa = _merge_two(parts)
+            if piece.size:
+                # The same float expression as the scalar walk — t >
+                # prev + threshold — so rounding behaves identically.
+                if pieces:
+                    lead, lead_isa = piece, isa
+                    prev = np.concatenate(([last], piece[:-1]))
+                else:
+                    lead = piece[1:]
+                    lead_isa = None if isa is None else isa[1:]
+                    prev = piece[:-1]
+                stop = lead > prev + threshold
+                if bounded:
+                    if tie_a == tie_b:
+                        # t > bound or (t == bound and not tie_ok)
+                        # collapses to >= when ties lose, > when they win.
+                        stop |= (lead > bound_time) if tie_a else (lead >= bound_time)
+                    else:
+                        assert lead_isa is not None
+                        tie_ok = np.where(lead_isa, tie_a, tie_b)
+                        stop |= (lead > bound_time) | ((lead == bound_time) & ~tie_ok)
+                hits = np.flatnonzero(stop)
+                if hits.size:
+                    cut = merged_size + int(hits[0]) + (0 if pieces else 1)
+                pieces.append(piece)
+                if isa is not None:
+                    piece_sides.append(isa)
+                merged_size += piece.size
+                last = float(piece[-1])
+            if cut < 0 and limit == inf:
+                cut = merged_size
+            window *= 4
+        times = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        times = times[:cut]
+        if not piece_sides:
+            return np.full(cut, index_a, dtype=np.int64), times
+        sides = piece_sides[0] if len(piece_sides) == 1 else np.concatenate(piece_sides)
+        return np.where(sides[:cut], index_a, index_b), times
 
     def _extract_run(
         self, members: list[_Stream], bound_time: float, bound_index: int

@@ -21,6 +21,7 @@ from repro.errors import SimulationError
 from repro.metrics.recorder import MetricsRecorder
 from repro.net.arrival import ConstantRate, PoissonArrival
 from repro.net.source import NetworkSource
+from repro.sim import scheduler as scheduler_module
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.scheduler import EventScheduler
@@ -312,24 +313,46 @@ def _drain_runs(streams_times, timer_times, threshold, columnar):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_array_extraction_matches_scalar_merge(seed):
-    """Same runs, same order, same instants — bound, tie, and gap cuts.
+def test_array_extraction_matches_scalar_merge(seed, monkeypatch):
+    """Same runs, same order, same instants — bound, tie, gap and window cuts.
 
     Times sit on a coarse grid so exact cross-stream ties (and ties
-    with timers and arrivals outside the group) actually occur.
+    with timers and arrivals outside the group) actually occur.  The
+    extraction window is shrunk far below the schedule length, so runs
+    span several window edges and equal-time ties straddle them.
     """
     rng = np.random.default_rng(seed)
 
     def schedule(n):
-        return np.sort(rng.integers(0, 60, size=n)).astype(np.float64) * 0.01
+        return np.sort(rng.integers(0, 150, size=n)).astype(np.float64) * 0.01
 
-    streams = [schedule(40), schedule(40)]
-    timers = sorted(set((rng.integers(0, 60, size=3) * 0.01).tolist()))
+    streams = [schedule(200), schedule(200)]
+    timers = sorted(set((rng.integers(0, 150, size=3) * 0.01).tolist()))
     threshold = 0.03  # grid gaps of >= 4 steps break runs
     scalar = _drain_runs(streams, timers, threshold, columnar=False)
-    arrays = _drain_runs(streams, timers, threshold, columnar=True)
-    assert scalar == arrays
-    assert sum(len(order) for order, _ in scalar) == 80
+    assert sum(len(order) for order, _ in scalar) == 400
+    for window in (1, 3, 16, scheduler_module.RUN_WINDOW):
+        monkeypatch.setattr(scheduler_module, "RUN_WINDOW", window)
+        assert _drain_runs(streams, timers, threshold, columnar=True) == scalar
+    assert max(len(order) for order, _ in scalar) > 4 * 16
+
+
+def test_array_extraction_window_edge_ties(monkeypatch):
+    """Ties at the window-th time stay together across both streams."""
+    monkeypatch.setattr(scheduler_module, "RUN_WINDOW", 2)
+    streams = [
+        [0.0, 0.01, 0.02, 0.02, 0.02, 0.03, 0.2],
+        [0.02, 0.02, 0.02, 0.02, 0.05, 0.2],
+    ]
+    arrays = _drain_runs(streams, [], 0.1, columnar=True)
+    assert arrays == _drain_runs(streams, [], 0.1, columnar=False)
+    assert arrays == [
+        (
+            [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1],
+            [0.0, 0.01, 0.02, 0.02, 0.02, 0.02, 0.02, 0.02, 0.02, 0.03, 0.05],
+        ),
+        ([0, 1], [0.2, 0.2]),
+    ]
 
 
 def test_array_extraction_falls_back_without_times_array():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from repro.core.flushing import (
     FlushLargestPolicy,
     FlushSmallestPolicy,
 )
+from repro.core.hashing import DualHashTable
 from repro.core.summary import BucketSummaryTable
 from repro.errors import MemoryBudgetError
 from repro.sim.clock import VirtualClock
@@ -160,3 +162,121 @@ def test_disk_counters_match_sum_of_block_pages(sizes, page_size):
     expected = sum(pages_needed(n, page_size) for n in sizes)
     assert disk.pages_written == expected
     assert clock.now == pytest.approx(float(expected))
+
+
+# -- probe_insert_batch vs the per-tuple probe_insert oracle -----------------
+
+#: (key, is_a, carries a payload) rows; a narrow key range with negative
+#: keys packs several stored duplicates per key into shared buckets.
+_ROWS = st.lists(
+    st.tuples(st.integers(-5, 5), st.booleans(), st.booleans()), max_size=40
+)
+
+
+def _row_tuples(rows, tids, payloads=True):
+    """Box ``rows`` as tuples, numbering tids per source from ``tids``."""
+    out = []
+    for key, is_a, has_payload in rows:
+        source = SOURCE_A if is_a else SOURCE_B
+        tid = tids[source]
+        tids[source] += 1
+        out.append(
+            Tuple(
+                key=key,
+                tid=tid,
+                source=source,
+                payload=f"{source}{tid}" if payloads and has_payload else None,
+            )
+        )
+    return out
+
+
+def _stored_payload(table):
+    return any(
+        t.payload is not None
+        for source in (SOURCE_A, SOURCE_B)
+        for g in range(table.n_groups)
+        for b in table.buckets_in_group(g)
+        for t in table.bucket_contents(source, b)
+    )
+
+
+@given(
+    n_buckets=st.integers(min_value=1, max_value=8),
+    n_groups=st.integers(min_value=1, max_value=3),
+    stored=_ROWS,
+    batches=st.lists(st.tuples(st.booleans(), _ROWS), min_size=1, max_size=3),
+    split=st.none() | st.tuples(st.integers(0, 2), st.integers(2, 4)),
+    extract=st.none() | st.integers(0, 2),
+    need_pairs=st.booleans(),
+)
+def test_probe_insert_batch_matches_per_tuple_oracle(
+    n_buckets, n_groups, stored, batches, split, extract, need_pairs
+):
+    """Batch probe+insert ≡ row-by-row ``probe_insert``.
+
+    Candidates, match counts, the exact ``(probe_row, build_tid)``
+    emission order, build payloads and the final bucket contents all
+    agree, over stored duplicates interleaved in shared buckets,
+    payloads on some rows only, negative keys, several groups (one
+    extracted between batches), a sub-split group, and counts-only
+    probes.  With no payload anywhere, ``build_payloads`` stays ``None``.
+    """
+    n_groups = min(n_groups, n_buckets)
+    oracle = DualHashTable(n_buckets, n_groups)
+    table = DualHashTable(n_buckets, n_groups)
+    tids = {SOURCE_A: 0, SOURCE_B: 0}
+    for t in _row_tuples(stored, tids):
+        oracle.insert(t)
+        table.insert(t)
+    if split is not None:
+        group, factor = split[0] % n_groups, split[1]
+        oracle.subsplit_group(group, factor)
+        table.subsplit_group(group, factor)
+    for i, (with_payloads, rows) in enumerate(batches):
+        if i and extract is not None:
+            for source in (SOURCE_A, SOURCE_B):
+                assert table.extract_group(
+                    source, extract % n_groups
+                ) == oracle.extract_group(source, extract % n_groups)
+        batch = _row_tuples(rows, tids, with_payloads)
+        candidates, match_counts, pairs, pays = [], [], [], []
+        for row, t in enumerate(batch):
+            matches, cand, _bucket = oracle.probe_insert(t)
+            candidates.append(cand)
+            match_counts.append(len(matches))
+            pairs.extend((row, m.tid) for m in matches)
+            pays.extend(m.payload for m in matches)
+        batch_pays = [t.payload for t in batch]
+        if all(p is None for p in batch_pays):
+            batch_pays = None
+        no_payload = batch_pays is None and not _stored_payload(table)
+        keys = np.array([t.key for t in batch], dtype=np.int64)
+        plan = table.probe_insert_batch(
+            keys,
+            np.array([t.tid for t in batch], dtype=np.int64),
+            np.array([t.source == SOURCE_A for t in batch], dtype=bool),
+            batch_pays,
+            table.hash_batch(keys),
+            need_pairs=need_pairs,
+        )
+        assert plan.candidates.tolist() == candidates
+        assert plan.match_counts.tolist() == match_counts
+        assert plan.total_matches == len(pairs)
+        if need_pairs and pairs:
+            assert plan.probe_rows is not None and plan.build_tids is not None
+            got = list(zip(plan.probe_rows.tolist(), plan.build_tids.tolist()))
+            assert got == pairs
+            if no_payload:
+                assert plan.build_payloads is None
+            else:
+                assert plan.build_payloads == pays
+        else:
+            assert plan.probe_rows is None and plan.build_payloads is None
+    for source in (SOURCE_A, SOURCE_B):
+        for g in range(n_groups):
+            assert list(table.buckets_in_group(g)) == list(oracle.buckets_in_group(g))
+            for b in table.buckets_in_group(g):
+                assert table.bucket_contents(source, b) == oracle.bucket_contents(
+                    source, b
+                )
