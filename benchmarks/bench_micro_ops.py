@@ -138,7 +138,7 @@ def _delivery_run(rel_a, rel_b, batch_delivery: bool) -> int:
 
 
 def test_kernel_batched_delivery_throughput(benchmark):
-    # Run-batch delivery: maximal arrival runs through on_tuple_batch.
+    # Run-batch delivery: maximal arrival runs as column batches.
     spec = WorkloadSpec(n_a=4000, n_b=4000, key_range=8000, seed=9)
     rel_a, rel_b = make_relation_pair(spec)
     assert benchmark(lambda: _delivery_run(rel_a, rel_b, True)) > 0

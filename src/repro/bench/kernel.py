@@ -1,14 +1,13 @@
 """Kernel delivery-path micro-benchmark (``BENCH_kernel.json``).
 
-Measures what the run-batch delivery paths are worth: constant-rate HMJ
-runs — ample memory, so nothing flushes and the wall clock is dominated
-by per-tuple dispatch, the thing batching amortises — executed through
-all three kernel paths:
+Measures what run-batch delivery is worth: constant-rate HMJ runs —
+ample memory, so nothing flushes and the wall clock is dominated by
+per-tuple dispatch, the thing batching amortises — executed through
+both kernel paths:
 
-* ``per_tuple`` — one heap pop/push round-trip per arrival;
-* ``batched`` — merged arrival runs delivered as boxed-tuple lists
-  (the fused path);
-* ``columnar`` — the same runs delivered as :class:`~repro.core.
+* ``per_tuple`` — one heap pop/push round-trip per arrival (the
+  conformance oracle);
+* ``columnar`` — merged arrival runs delivered as :class:`~repro.core.
   columnar.ColumnBatch` arrays end-to-end (vectorized run extraction,
   array-native probe/insert, column-slice metrics appends).
 
@@ -27,21 +26,19 @@ is timed through both merge paths — the scalar per-tuple generator and
 the vectorized columnar pass.  The columnar path must beat the scalar
 oracle by at least :data:`MERGE_SPEEDUP_GATE` on identical triples,
 with at least :data:`MERGE_FLUSHED_FLOOR` of the input flushed; both
-are enforced gates, not advisory numbers.
+are enforced gates, not advisory numbers, and both paths are timed at
+least :data:`GATED_MIN_REPEATS` times.
 
 A third point runs the paper's own regime: constant-rate HMJ with
 memory holding 10% of the input (Section 6), so the hashing phase
-probes and inserts into a full table between flushes.  Only the two
-batch paths run there — the point exists to keep the default columnar
-path competitive with the boxed batched path where flushes interleave
-with arrivals.  Triples must match, and the columnar best wall must be
-at most :data:`PAPER_RATIO_GATE` times the batched best wall (an
-enforced gate); whether columnar is outright no slower is reported
-alongside, not gated.
+probes and inserts into a full table between flushes.  Triples must
+match, and the columnar best wall must be at most
+:data:`PAPER_RATIO_GATE` times the per-tuple best wall (an enforced
+gate, timed at least :data:`GATED_MIN_REPEATS` times per path).
 
 Optionally (``--figure-check``) one full figure scenario is also run
-through all three paths, cell by cell, and any triple mismatch fails
-the process — CI's cheap end-to-end equivalence gate.
+through both paths, cell by cell, and any triple mismatch fails the
+process — CI's cheap end-to-end equivalence gate.
 
 Usage::
 
@@ -96,7 +93,6 @@ CHECK_SCALE = BenchScale(n_per_source=400, seed=7)
 #: columnar_delivery) engine switches, slowest first.
 PATHS: dict[str, tuple[bool, bool]] = {
     "per_tuple": (False, False),
-    "batched": (True, False),
     "columnar": (True, True),
 }
 
@@ -127,16 +123,14 @@ PAPER_TUPLES = 100_000
 #: Memory as a fraction of the input at the 10%-memory point.
 PAPER_MEMORY_FRACTION = 0.10
 
-#: The two paths the 10%-memory point compares, by ``PATHS`` label.
-PAPER_PATHS = ("batched", "columnar")
+#: Enforced ceiling on columnar best wall / per-tuple best wall there.
+PAPER_RATIO_GATE = 0.6
 
-#: Enforced ceiling on columnar best wall / batched best wall there.
-PAPER_RATIO_GATE = 1.25
-
-#: Fewest timed runs per path at the 10%-memory point, whatever
-#: ``--repeats`` says: the gate compares best walls, and a single
-#: unrepeated wall on a shared machine is too noisy to gate on.
-PAPER_MIN_REPEATS = 3
+#: Fewest timed runs per path at the two gated points (merge and
+#: 10%-memory), whatever ``--repeats`` says: the gates compare best
+#: walls, and a single unrepeated wall on a shared machine is too
+#: noisy to gate on.
+GATED_MIN_REPEATS = 3
 
 Triple = tuple[int, float, int]
 
@@ -293,8 +287,10 @@ def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
     The scalar generator is the conformance oracle; the columnar pass
     must reproduce its triple exactly and beat its wall clock by at
     least :data:`MERGE_SPEEDUP_GATE`.  Gate outcomes are part of the
-    payload so the tracked artifact shows *why* a run failed.
+    payload so the tracked artifact shows *why* a run failed.  Each
+    path runs at least :data:`GATED_MIN_REPEATS` times.
     """
+    repeats = max(repeats, GATED_MIN_REPEATS)
     walls: dict[str, list[float]] = {path: [] for path in MERGE_PATHS}
     triples: dict[str, Triple] = {}
     flushed = 0
@@ -347,7 +343,7 @@ def _check_operators(memory: int) -> dict[str, Callable]:
 
 
 def figure_check(figure_id: str) -> dict:
-    """Run one figure scenario's cells through all three delivery paths.
+    """Run one figure scenario's cells through both delivery paths.
 
     Returns the per-cell triples and whether every path agreed; the
     CLI fails the process on any mismatch.  Currently supports
@@ -389,7 +385,7 @@ def figure_check(figure_id: str) -> dict:
 
 
 def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
-    """Benchmark all three delivery paths at one scale point.
+    """Benchmark both delivery paths at one scale point.
 
     Wall seconds are the best of ``repeats`` (the usual
     micro-benchmark noise floor), and the identical-triple invariant
@@ -415,11 +411,6 @@ def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
         },
         "repeats": repeats,
         **_path_walls(walls),
-        # per-tuple -> fused: the historical tracked ratio.
-        "speedup": round(best["per_tuple"] / best["batched"], 4),
-        # fused -> columnar: the columnar data plane's own ratio (the
-        # >= 3x merge gate at the 1M point).
-        "speedup_columnar": round(best["batched"] / best["columnar"], 4),
         # per-tuple -> columnar: the end-to-end amortisation.
         "speedup_columnar_total": round(best["per_tuple"] / best["columnar"], 4),
         "triple": {
@@ -432,24 +423,23 @@ def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
 
 
 def paper_point(tuples_total: int, repeats: int, seed: int) -> dict:
-    """Benchmark batched vs columnar delivery with memory at 10% of input.
+    """Benchmark per-tuple vs columnar delivery with memory at 10% of input.
 
     The Section 6 regime: the hashing phase fills memory, flushes a
     group, and probes a full table again, so the per-segment probe of
     stored tuples dominates.  The columnar path must reproduce the
-    batched triple and stay within :data:`PAPER_RATIO_GATE` of its best
-    wall; ``columnar_over_batched <= 1`` (never slower) is reported as
-    ``never_slower`` but not gated.  Each path runs at least
-    :data:`PAPER_MIN_REPEATS` times.
+    per-tuple oracle's triple and its best wall must be at most
+    :data:`PAPER_RATIO_GATE` times the oracle's.  Each path runs at
+    least :data:`GATED_MIN_REPEATS` times.
     """
-    repeats = max(repeats, PAPER_MIN_REPEATS)
+    repeats = max(repeats, GATED_MIN_REPEATS)
     n_per_source = tuples_total // 2
     scale = BenchScale(n_per_source=n_per_source, seed=seed)
     rel_a, rel_b = make_relation_pair(scale.spec)
     memory = scale.spec.memory_capacity(PAPER_MEMORY_FRACTION)
-    walls, triples = _time_paths(rel_a, rel_b, memory, list(PAPER_PATHS), repeats)
+    walls, triples = _time_paths(rel_a, rel_b, memory, list(PATHS), repeats)
     best = {label: min(times) for label, times in walls.items()}
-    ratio = best["columnar"] / best["batched"]
+    ratio = best["columnar"] / best["per_tuple"]
     triples_match = len(set(triples.values())) == 1
     return {
         "workload": {
@@ -463,12 +453,11 @@ def paper_point(tuples_total: int, repeats: int, seed: int) -> dict:
         },
         "repeats": repeats,
         **_path_walls(walls),
-        "columnar_over_batched": round(ratio, 4),
-        "never_slower": ratio <= 1.0,
+        "columnar_over_per_tuple": round(ratio, 4),
         "triple": {
-            "count": triples["batched"][0],
-            "final_clock": triples["batched"][1],
-            "io": triples["batched"][2],
+            "count": triples["per_tuple"][0],
+            "final_clock": triples["per_tuple"][1],
+            "io": triples["per_tuple"][2],
         },
         "triples_match": triples_match,
         "gates": {"ratio_ceiling": PAPER_RATIO_GATE},
@@ -485,11 +474,11 @@ def kernel_manifest(
     """Benchmark every scale point; the ``BENCH_kernel.json`` payload.
 
     Schema v1, mirroring ``BENCH_figures.json``: one entry per scale
-    point under ``points``, each holding the three paths' walls and
-    the pairwise speedups.  ``merge`` holds the memory-constrained
-    merge-heavy point (scalar vs columnar drain) unless disabled with
+    point under ``points``, each holding both paths' walls and the
+    speedup.  ``merge`` holds the memory-constrained merge-heavy point
+    (scalar vs columnar drain) unless disabled with
     ``merge_tuples=0``; ``paper`` always holds the 10%-memory point
-    (batched vs columnar) at :data:`PAPER_TUPLES`.
+    (per-tuple vs columnar) at :data:`PAPER_TUPLES`.
     """
     points = [kernel_point(t, repeats, seed) for t in tuples_points]
     manifest = {
@@ -508,7 +497,7 @@ def kernel_manifest(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark per-tuple vs batched vs columnar kernel delivery."
+        description="Benchmark per-tuple vs columnar kernel delivery."
     )
     parser.add_argument(
         "--tuples",
@@ -565,10 +554,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"kernel bench [{total} tuples]: "
             f"per-tuple {point['per_tuple']['wall_seconds']:.3f}s, "
-            f"batched {point['batched']['wall_seconds']:.3f}s, "
             f"columnar {point['columnar']['wall_seconds']:.3f}s | "
-            f"columnar {point['speedup_columnar']:.2f}x over batched, "
-            f"{point['speedup_columnar_total']:.2f}x over per-tuple "
+            f"columnar {point['speedup_columnar_total']:.2f}x over per-tuple "
             f"(triples {'match' if point['triples_match'] else 'MISMATCH'})"
         )
     if "merge" in manifest:
@@ -585,12 +572,11 @@ def main(argv: list[str] | None = None) -> int:
     paper = manifest["paper"]
     print(
         f"10%-memory bench [{paper['workload']['tuples_total']} tuples]: "
-        f"batched {paper['batched']['wall_seconds']:.3f}s, "
+        f"per-tuple {paper['per_tuple']['wall_seconds']:.3f}s, "
         f"columnar {paper['columnar']['wall_seconds']:.3f}s | "
-        f"columnar/batched {paper['columnar_over_batched']:.2f} "
+        f"columnar/per-tuple {paper['columnar_over_per_tuple']:.2f} "
         f"(gate <= {paper['gates']['ratio_ceiling']:.2f}: "
-        f"{'pass' if paper['gate_passed'] else 'FAIL'}; "
-        f"never slower: {'yes' if paper['never_slower'] else 'no'})"
+        f"{'pass' if paper['gate_passed'] else 'FAIL'})"
     )
     if args.figure_check:
         verdict = "match" if manifest["figure_check"]["all_match"] else "MISMATCH"

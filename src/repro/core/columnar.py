@@ -8,7 +8,11 @@ through the scheduler to an operator's ``on_column_batch``, which runs
 the shared :func:`run_columnar_batch` driver on top of the hash
 table's array-native :meth:`~repro.core.hashing.DualHashTable.
 probe_insert_batch`.  No ``Tuple`` is boxed on the hot path; results
-reach the recorder as lazy :class:`ResultColumns` segments.
+reach the recorder as lazy :class:`ResultColumns` segments.  It is
+the only batch implementation of the hashing phase: a run delivered as
+boxed tuples is packed with :meth:`ColumnBatch.from_tuples` and driven
+through the same code, and the per-tuple ``on_tuple`` hooks remain as
+the conformance oracle.
 
 **Determinism.**  The virtual-clock recurrence is the one part that
 must NOT be vectorized: float addition is non-associative, so any
@@ -27,13 +31,13 @@ boundary row's arrival + per-tuple cost *first* (exactly as the
 per-tuple loop does before noticing memory is full), writes the
 mirrored clock and pool back, runs the operator's flush loop, and
 re-mirrors — identical observable state at every flush to the
-per-tuple and fused paths.
+per-tuple path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, TYPE_CHECKING
+from typing import Callable, Protocol, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -66,6 +70,24 @@ class ColumnBatch:
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    @classmethod
+    def from_tuples(
+        cls, tuples: Sequence[Tuple], times: Sequence[float]
+    ) -> "ColumnBatch":
+        """Pack a boxed run into columns: the inverse of :meth:`to_tuples`.
+
+        ``payloads`` is ``None`` when every payload is ``None``, as the
+        sources' column slices deliver it.
+        """
+        payloads = [t.payload for t in tuples]
+        return cls(
+            keys=np.array([t.key for t in tuples], dtype=np.int64),
+            tids=np.array([t.tid for t in tuples], dtype=np.int64),
+            is_a=np.array([t.source == SOURCE_A for t in tuples], dtype=bool),
+            times=np.array(times, dtype=np.float64),
+            payloads=None if payloads.count(None) == len(payloads) else payloads,
+        )
 
     def to_tuples(self) -> tuple[list[Tuple], list[float]]:
         """Box the batch for the tuple-based fallback paths.
@@ -222,20 +244,20 @@ def run_columnar_batch(
 ) -> None:
     """Drive one hashing-phase delivery batch through the columnar path.
 
-    The shared core of ``HashMergeJoin.on_column_batch`` and
-    ``XJoin.on_column_batch``: both operators' hashing phases are the
-    same probe/insert/flush loop up to the flush policy (``flush``),
-    the recorded ``phase``, and per-row bookkeeping (``on_segment``,
-    with ``want_row_times`` supplying XJoin's arrival timestamps).
+    The shared core of ``HashMergeJoin.on_column_batch`` (and its
+    boxed ``on_tuple_batch``) and ``XJoin.on_column_batch``: both
+    operators' hashing phases are the same probe/insert/flush loop up
+    to the flush policy (``flush``), the recorded ``phase``, and
+    per-row bookkeeping (``on_segment``, with ``want_row_times``
+    supplying XJoin's arrival timestamps).
 
     Equivalence to the per-tuple protocol: the batch is processed in
     segments that fit the free memory, the scalar :func:`_clock_walk`
     replays the exact per-row charge sequence, flush boundaries charge
     the boundary row before flushing (then skip its charge when the
     segment resumes), and the clock/pool are mirrored in locals and
-    written back before any shared-state observer runs — the same
-    discipline as the fused tuple loops, pinned by the equivalence
-    suite.
+    written back before any shared-state observer runs — pinned by the
+    equivalence suite.
     """
     n = len(batch.keys)
     if n == 0:

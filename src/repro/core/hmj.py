@@ -32,7 +32,6 @@ from repro.storage.tuples import (
     SOURCE_A,
     SOURCE_B,
     Tuple,
-    make_result,
     sort_columns_by_key,
 )
 
@@ -130,77 +129,16 @@ class HashMergeJoin(StreamingJoinOperator):
     def on_tuple_batch(
         self, tuples: Sequence[Tuple], times: Sequence[float]
     ) -> None:
-        """Fused hashing loop over one delivery batch.
+        """Boxed run delivery through the columnar hashing loop.
 
-        A transcription of :meth:`on_tuple` with the runtime attribute
-        lookups hoisted out of the loop and the clock and memory pool
-        mirrored in local variables (``now += delta`` is ``advance``'s
-        ``self._now += delta``; ``used >= capacity`` is
-        ``not has_room(1)``, ``used += 1`` is ``allocate(1)``).  Both
-        are written back before the only calls that observe shared
-        state mid-batch — the flush path — and at batch end, so the
-        clock charges, flush decisions, and emission order per tuple
-        are identical and the virtual clock, I/O counts, and result
-        sequence match the per-tuple path exactly (the equivalence
-        suite pins this).
+        The run is packed with :meth:`ColumnBatch.from_tuples` and
+        driven exactly as :meth:`on_column_batch` drives it; a subclass
+        that overrides :meth:`on_tuple` is replayed through it instead.
         """
         if type(self).on_tuple is not HashMergeJoin.on_tuple:
-            # A subclass customised the per-tuple path; replaying it
-            # tuple-by-tuple keeps the override authoritative.
             super().on_tuple_batch(tuples, times)
             return
-        runtime = self.runtime
-        clock = runtime.clock
-        costs = runtime.costs
-        tuple_cost = costs.cpu_tuple_cost
-        # Same expressions as charge_probe/emit: probe_time(n) is
-        # n * cpu_compare_cost and result_time(1) is 1 * cpu_result_cost,
-        # so the inlined arithmetic is bit-identical.
-        compare_cost = costs.cpu_compare_cost
-        result_cost = costs.result_time(1)
-        memory = self._memory
-        table = self._table
-        assert memory is not None and table is not None
-        probe_insert = table.probe_insert
-        imbalance_of = table.summary.imbalance
-        append_result = self.recorder.batch_appender(self.PHASE_HASHING)
-        emit_guard = self._emit_guard
-        disk = self.disk
-        peak = self.peak_imbalance
-        now = clock.now
-        used, capacity = memory.fill_level()
-        # I/O only moves during flushes, so the count is constant
-        # between them and can be mirrored like the clock.
-        io = disk.io_count
-        for t, at in zip(tuples, times):
-            if at > now:
-                now = at
-            now += tuple_cost
-            if used >= capacity:
-                # Flushing reads the clock (sort/I-O charges) and the
-                # pool (release): sync both, flush, re-mirror.
-                clock.resync(now)
-                memory.set_used(used)
-                while not memory.has_room(1):
-                    self._flush_victims()
-                now = clock.now
-                used, capacity = memory.fill_level()
-                io = disk.io_count
-            matches, candidates, _ = probe_insert(t)
-            if candidates:
-                now += candidates * compare_cost
-            if matches:
-                emit_guard()
-                for match in matches:
-                    now += result_cost
-                    append_result(make_result(t, match), now, io)
-            used += 1
-            imbalance = imbalance_of()
-            if imbalance > peak:
-                peak = imbalance
-        clock.resync(now)
-        memory.set_used(used)
-        self.peak_imbalance = peak
+        self._run_columns(ColumnBatch.from_tuples(tuples, times))
 
     def on_column_batch(self, batch: ColumnBatch) -> None:
         """Array-native hashing loop over one columnar delivery batch.
@@ -209,8 +147,8 @@ class HashMergeJoin(StreamingJoinOperator):
         driver with HMJ's flush policy and phase label: hashing,
         bucket grouping, matching, and inserts run vectorized while the
         clock walks the exact per-tuple charge sequence — triples and
-        emission order are identical to both tuple paths (pinned by the
-        equivalence suite).  Subclasses that customise either tuple
+        emission order are identical to the per-tuple path (pinned by
+        the equivalence suite).  Subclasses that customise either tuple
         hook are replayed through those hooks instead.
         """
         if (
@@ -219,6 +157,10 @@ class HashMergeJoin(StreamingJoinOperator):
         ):
             super().on_column_batch(batch)
             return
+        self._run_columns(batch)
+
+    def _run_columns(self, batch: ColumnBatch) -> None:
+        """The hashing phase over one column batch (both batch hooks)."""
         memory = self._memory
         table = self._table
         assert memory is not None and table is not None

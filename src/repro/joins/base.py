@@ -146,8 +146,9 @@ class StreamingJoinOperator(abc.ABC):
         :meth:`on_tuple`.  The engine only calls this when no early
         stop is armed (``stop_after`` runs fall back to per-tuple
         delivery, which checks the predicate between arrivals).  This
-        default replays the per-tuple protocol verbatim, so operators
-        without a fused loop are automatically correct.
+        default replays the per-tuple protocol verbatim, so every
+        operator is correct without a batch path of its own.  HMJ packs
+        the run into columns and drives it like :meth:`on_column_batch`.
         """
         advance_to = self.clock.advance_to
         on_tuple = self.on_tuple
@@ -268,11 +269,11 @@ class StreamingJoinOperator(abc.ABC):
         runtime.recorder.record(make_result(first, second), phase)
 
     def _emit_guard(self) -> None:
-        """The finished-check of :meth:`emit`, for fused batch loops.
+        """The finished-check of :meth:`emit`, for batch loops.
 
-        Fused ``on_tuple_batch`` implementations inline the emission
-        path; calling this once per emitting tuple keeps the
-        no-results-after-finish protocol error intact.
+        ``run_columnar_batch`` inlines the emission path; calling this
+        once per emitting segment keeps the no-results-after-finish
+        protocol error intact.
         """
         if self._finished:
             raise ProtocolError(f"{self.name} emitted a result after finish()")

@@ -36,7 +36,7 @@ random workloads.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.core.hashing import BatchProbeResult, DualHashTable
 from repro.joins.base import StreamingJoinOperator
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
-from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, make_result
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
 
 _INF = math.inf
 
@@ -142,78 +142,6 @@ class XJoin(StreamingJoinOperator):
         if imbalance > self.peak_imbalance:
             self.peak_imbalance = imbalance
 
-    def on_tuple_batch(
-        self, tuples: Sequence[Tuple], times: Sequence[float]
-    ) -> None:
-        """Fused stage-1 loop over one delivery batch.
-
-        A transcription of :meth:`on_tuple` with the runtime attribute
-        lookups hoisted and the clock and memory pool mirrored in local
-        variables, written back before the flush path (the only shared
-        observer mid-batch) and at batch end — see
-        :meth:`HashMergeJoin.on_tuple_batch
-        <repro.core.hmj.HashMergeJoin.on_tuple_batch>` for the
-        equivalence argument; charges and emission order are identical
-        per tuple.  Subclasses that override :meth:`on_tuple` (e.g. the
-        static-memory variant) are replayed tuple-by-tuple so their
-        override stays authoritative.
-        """
-        if type(self).on_tuple is not XJoin.on_tuple:
-            super().on_tuple_batch(tuples, times)
-            return
-        runtime = self.runtime
-        clock = runtime.clock
-        costs = runtime.costs
-        tuple_cost = costs.cpu_tuple_cost
-        # probe_time(n) is n * cpu_compare_cost; inlined bit-identically.
-        compare_cost = costs.cpu_compare_cost
-        result_cost = costs.result_time(1)
-        memory = self._memory
-        table = self._table
-        assert memory is not None and table is not None
-        probe_insert = table.probe_insert
-        imbalance_of = table.summary.imbalance
-        ats = self._ats
-        insert_counts = self._insert_counts
-        append_result = self.recorder.batch_appender(self.PHASE_STAGE1)
-        emit_guard = self._emit_guard
-        disk = self.disk
-        peak = self.peak_imbalance
-        now = clock.now
-        used, capacity = memory.fill_level()
-        # I/O only moves during flushes: mirrored like the clock.
-        io = disk.io_count
-        for t, at in zip(tuples, times):
-            if at > now:
-                now = at
-            now += tuple_cost
-            if used >= capacity:
-                clock.resync(now)
-                memory.set_used(used)
-                while not memory.has_room(1):
-                    self._flush_largest_bucket()
-                now = clock.now
-                used, capacity = memory.fill_level()
-                io = disk.io_count
-            ats[t.identity()] = now
-            matches, candidates, bucket = probe_insert(t)
-            if candidates:
-                now += candidates * compare_cost
-            if matches:
-                emit_guard()
-                for match in matches:
-                    now += result_cost
-                    append_result(make_result(t, match), now, io)
-            used += 1
-            key = (t.source, bucket)
-            insert_counts[key] = insert_counts.get(key, 0) + 1
-            imbalance = imbalance_of()
-            if imbalance > peak:
-                peak = imbalance
-        clock.resync(now)
-        memory.set_used(used)
-        self.peak_imbalance = peak
-
     def on_column_batch(self, batch: ColumnBatch) -> None:
         """Array-native stage-1 loop over one columnar delivery batch.
 
@@ -228,7 +156,8 @@ class XJoin(StreamingJoinOperator):
         """
         if (
             type(self).on_tuple is not XJoin.on_tuple
-            or type(self).on_tuple_batch is not XJoin.on_tuple_batch
+            or type(self).on_tuple_batch
+            is not StreamingJoinOperator.on_tuple_batch
         ):
             super().on_column_batch(batch)
             return

@@ -10,6 +10,7 @@ operator and arrival factories).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from repro.core.config import HMJConfig
@@ -48,6 +49,25 @@ ARRIVALS = ("constant", "poisson", "pareto", "bursty")
 #: Supported plan shapes: "join" is the classic two-source engine;
 #: the rest are n-way plan trees (see repro.pipeline.shapes).
 SHAPES = ("join", "chain", "star", "bushy")
+#: Largest accepted ``n`` (tuples per relation) and ``n_buckets``,
+#: sized to the paper's 10^6-tuple sources (Section 6).  A query's
+#: whole input (``n`` times its relation count) and its ``memory``
+#: grant may hold at most two such sources.
+MAX_SPEC_SIZE = 1_000_000
+#: Largest accepted ``n_way``: plan trees are built and run
+#: recursively, and a chain or star of ~1000 relations exceeds
+#: Python's default recursion limit.
+MAX_PLAN_RELATIONS = 256
+#: Upper bounds of the bounded integer fields; keys are int64.
+_LIMITS = {
+    "n": MAX_SPEC_SIZE,
+    "n_buckets": MAX_SPEC_SIZE,
+    "memory": 2 * MAX_SPEC_SIZE,
+    "n_way": MAX_PLAN_RELATIONS,
+    "key_range": 2**63 - 1,
+}
+#: The seed fields, which must be non-negative.
+_SEED_FIELDS = ("seed", "source_seed_a", "source_seed_b", "disorder_seed")
 #: HMJ flushing policies, by spec name.
 POLICIES = {
     "adaptive": AdaptiveFlushingPolicy,
@@ -309,7 +329,12 @@ class QuerySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuerySpec":
-        """Parse a JSON object, rejecting unknown keys loudly."""
+        """Parse a JSON object, rejecting unknown keys loudly.
+
+        Mistyped and out-of-range values (see :func:`_check_range`)
+        raise :class:`~repro.errors.ConfigurationError` here, before
+        anything is allocated.
+        """
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"query spec must be a JSON object, got {type(data).__name__}"
@@ -323,7 +348,15 @@ class QuerySpec:
             )
         for name, value in data.items():
             _check_json_type(name, value, annotations[name])
-        return cls(**data)
+            _check_range(name, value, annotations[name])
+        spec = cls(**data)
+        relations = 2 if spec.plan_shape == "join" else spec.n_way
+        if spec.n * relations > 2 * MAX_SPEC_SIZE:
+            raise ConfigurationError(
+                f"query spec input of {spec.n} tuples x {relations} relations "
+                f"exceeds {2 * MAX_SPEC_SIZE} tuples"
+            )
+        return spec
 
 
 #: The JSON values each scalar field annotation accepts, and its name.
@@ -349,4 +382,33 @@ def _check_json_type(name: str, value, annotation: str) -> None:
         raise ConfigurationError(
             f"query spec field {name!r} must be {expected}"
             f"{' or null' if nullable else ''}, got {value!r}"
+        )
+
+
+def _check_range(name: str, value, annotation: str) -> None:
+    """Reject a well-typed value no query can run with.
+
+    Checked before anything is allocated: non-finite numbers (an
+    integer too large for a float included), negative seeds, and sizes
+    above their :data:`_LIMITS`.
+    """
+    if value is None:
+        return
+    if annotation.startswith("float"):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                f"query spec field {name!r} must be finite, got {value!r}"
+            )
+    elif name in _SEED_FIELDS and value < 0:
+        raise ConfigurationError(
+            f"query spec field {name!r} must be >= 0, got {value!r}"
+        )
+    limit = _LIMITS.get(name)
+    if limit is not None and value > limit:
+        raise ConfigurationError(
+            f"query spec field {name!r} must be <= {limit}, got {value!r}"
         )

@@ -53,7 +53,7 @@ class VirtualClock:
         return self._now
 
     def resync(self, instant: float) -> None:
-        """Write back a fused loop's locally tracked time.
+        """Write back a batch loop's locally tracked time.
 
         Batch delivery loops mirror the clock in a local float (one
         attribute store per charge is measurable at 100k tuples) and

@@ -161,10 +161,12 @@ def run_join(
             identical either way; False forces the per-event path
             (used by the equivalence tests).
         columnar_delivery: Deliver run batches as column arrays to
-            operators that support them (the default).  Falls back to
-            boxed-tuple batches when False — again with identical
-            observable results (the third axis of the equivalence
-            tests); ignored on the per-tuple paths.
+            operators that support them (the default).  When False,
+            runs arrive as boxed-tuple batches instead: HMJ packs them
+            back into columns for the same hashing loop, and every
+            other operator replays them per tuple — again with
+            identical observable results (the third axis of the
+            equivalence tests); ignored on the per-tuple paths.
         checks: Attach in-engine invariant checkers
             (:mod:`repro.testing.checks`).  ``True`` raises on the
             first violation; an

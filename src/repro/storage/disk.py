@@ -322,7 +322,7 @@ class SimulatedDisk:
         return block
 
     def absorb_io_pages(self, pages_read: int, pages_written: int) -> None:
-        """Fold a fused loop's locally counted page I/Os into the totals.
+        """Fold a batch loop's locally counted page I/Os into the totals.
 
         The columnar merge pass mirrors both the clock and the I/O
         counters in locals (one attribute store per page is measurable)

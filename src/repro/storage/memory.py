@@ -79,7 +79,7 @@ class MemoryPool:
         self._used -= n
 
     def fill_level(self) -> tuple[int, int]:
-        """Snapshot ``(used, capacity)`` for a fused allocation loop.
+        """Snapshot ``(used, capacity)`` for a batch allocation loop.
 
         Batch delivery loops track occupancy in a local counter —
         ``used >= capacity`` is exactly ``not has_room(1)`` and
@@ -90,7 +90,7 @@ class MemoryPool:
         return self._used, self._capacity
 
     def set_used(self, used: int) -> None:
-        """Write back a fused loop's locally tracked occupancy.
+        """Write back a batch loop's locally tracked occupancy.
 
         Validates like :meth:`allocate` (the budget still raises loudly
         on violations) and updates the peak.  Within one batch the

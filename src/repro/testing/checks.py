@@ -6,8 +6,8 @@ hook — and checks, while the simulation executes:
 
 * **no duplicate results** — every emitted pair identity is new;
 * **monotone result clock** — result timestamps never decrease (this
-  re-adds, for every path, the check the recorder's fused
-  ``batch_appender`` skips);
+  re-adds, for every path, the check the recorder's column append
+  ``append_batch_columns`` skips);
 * **monotone result I/O** — the cumulative page-I/O column never
   decreases;
 * **causal timestamps** — no result is emitted before both of its
@@ -17,7 +17,7 @@ hook — and checks, while the simulation executes:
 * **memory within grant** — polled after every kernel step, no
   operator's pool exceeds its current capacity;
 * **monotone kernel clock** — the virtual clock never moves backwards
-  across kernel steps (catches a bad fused-loop ``resync``);
+  across kernel steps (catches a bad batch-loop ``resync``);
 * **flushed state drains** — after a completed run, every operator is
   finished, reports no background work, and has no spilled-but-
   unprocessed pages (:meth:`~repro.joins.base.StreamingJoinOperator.

@@ -9,6 +9,7 @@ speedup (the full-scale run and its ≥2x gate live in
 from __future__ import annotations
 
 from repro.bench.kernel import (
+    GATED_MIN_REPEATS,
     MERGE_FLUSHED_FLOOR,
     MERGE_SPEEDUP_GATE,
     merge_point,
@@ -39,9 +40,11 @@ def test_merge_point_schema_and_gate_accounting():
         "speedup_floor": MERGE_SPEEDUP_GATE,
         "flushed_floor": MERGE_FLUSHED_FLOOR,
     }
+    assert point["repeats"] == GATED_MIN_REPEATS
     for path in MERGE_PATHS:
         assert point[path]["wall_seconds"] > 0
-        assert len(point[path]["walls"]) == 1
+        # Best-of-GATED_MIN_REPEATS even when fewer repeats are asked for.
+        assert len(point[path]["walls"]) == GATED_MIN_REPEATS
     # gate_passed folds in the (timing-dependent) speedup floor; at this
     # scale only its deterministic inputs are assertable.
     assert point["speedup_merge"] > 0

@@ -61,3 +61,30 @@ def small_relations() -> tuple[Relation, Relation]:
     rel_a = Relation.from_keys([1, 2, 3, 3, 5, 8, 13, 2, 99], source=SOURCE_A)
     rel_b = Relation.from_keys([2, 3, 5, 7, 11, 13, 2, 2, 42], source=SOURCE_B)
     return rel_a, rel_b
+
+
+#: Well-typed query specs no query can run with.  Unless ``from_dict``
+#: refuses them, each raises a non-``ReproError`` (``ValueError``,
+#: ``OverflowError``, ``MemoryError``, ``RecursionError``) while the
+#: query is built or run, or runs silently on a non-finite number.
+OUT_OF_RANGE_SPECS = [
+    {"seed": -1},
+    {"source_seed_a": -1},
+    {"source_seed_b": -1},
+    {"disorder_seed": -1, "disorder_slack": 0.1},
+    {"disorder_slack": float("nan")},
+    {"disorder_slack": float("inf")},
+    {"rate": float("nan")},
+    {"rate": float("inf")},
+    {"rate": 10**400},
+    {"blocking_threshold": float("nan")},
+    {"deadline": float("inf")},
+    {"zipf_theta": float("nan")},
+    {"n": 10**9},
+    {"n_buckets": 10**8},
+    {"memory": 2**63},
+    {"key_range": 2**70},
+    {"plan_shape": "star", "n_way": 10**6},
+    {"plan_shape": "chain", "n_way": 1000, "n": 20, "memory": 40},
+    {"plan_shape": "bushy", "n_way": 3, "n": 10**6},
+]

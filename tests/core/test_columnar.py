@@ -2,7 +2,8 @@
 
 The end-to-end equivalence of the columnar delivery path is pinned by
 ``tests/sim/test_batch_equivalence.py``; this file tests the pieces in
-isolation: :class:`~repro.core.columnar.ColumnBatch` boxing, the hash
+isolation: :class:`~repro.core.columnar.ColumnBatch` boxing and
+packing, the hash
 table's array-native :meth:`~repro.core.hashing.DualHashTable.
 probe_insert_batch` against its own scalar path, boxing-free group
 discards, the recorder's column-slice appends, the kernel's vectorized
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnBatch
 from repro.core.hashing import DualHashTable
@@ -65,6 +68,54 @@ def test_column_batch_to_tuples_carries_payloads():
     batch.payloads = ["pa", "pb"]
     tuples, _ = batch.to_tuples()
     assert [t.payload for t in tuples] == ["pa", "pb"]
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=0, max_value=2**31),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.none() | st.text(max_size=3),
+    ),
+    max_size=40,
+)
+
+
+@given(rows=_ROWS, keep_payloads=st.booleans())
+def test_from_tuples_inverts_to_tuples(rows, keep_payloads):
+    """``from_tuples(*batch.to_tuples())`` rebuilds ``batch`` exactly.
+
+    Both sides, negative keys, payloads on some rows only; a batch
+    whose payloads are all ``None`` packs to ``payloads=None``.
+    """
+    rows.sort(key=lambda row: row[3])
+    payloads = [row[4] for row in rows]
+    if not keep_payloads or payloads.count(None) == len(payloads):
+        payloads = None
+    batch = ColumnBatch(
+        keys=np.array([row[0] for row in rows], dtype=np.int64),
+        tids=np.array([row[1] for row in rows], dtype=np.int64),
+        is_a=np.array([row[2] for row in rows], dtype=bool),
+        times=np.array([row[3] for row in rows], dtype=np.float64),
+        payloads=payloads,
+    )
+    packed = ColumnBatch.from_tuples(*batch.to_tuples())
+    for name in ("keys", "tids", "is_a", "times"):
+        got, want = getattr(packed, name), getattr(batch, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert packed.payloads == batch.payloads
+
+
+def test_from_tuples_packs_all_none_payloads_as_none():
+    tuples = [
+        Tuple(key=-3, tid=0, source=SOURCE_A),
+        Tuple(key=4, tid=0, source=SOURCE_B),
+    ]
+    packed = ColumnBatch.from_tuples(tuples, [0.5, 0.5])
+    assert packed.payloads is None
+    assert packed.is_a.tolist() == [True, False]
 
 
 # -- probe_insert_batch vs the scalar path -----------------------------------

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from conftest import OUT_OF_RANGE_SPECS
 from repro.service.server import QueryServer
 from repro.service.smoke import run_smoke, tenant_specs
 from repro.service.spec import QuerySpec
@@ -104,7 +105,7 @@ def test_mistyped_spec_gets_an_error_and_the_connection_keeps_serving():
     async def scenario(host, port):
         reader, writer = await asyncio.open_connection(host, port)
         await reader.readline()  # ready
-        for body in ({"memory": "x"}, spec.to_dict()):
+        for body in ({"memory": "x"}, *OUT_OF_RANGE_SPECS, spec.to_dict()):
             writer.write(json.dumps({"op": "query", "spec": body}).encode() + b"\n")
         await writer.drain()
         events = []
@@ -115,6 +116,11 @@ def test_mistyped_spec_gets_an_error_and_the_connection_keeps_serving():
 
     events = asyncio.run(_with_server(scenario))
     assert events[0]["event"] == "error" and "'memory'" in events[0]["error"]
+    # Non-finite numbers, negative seeds and oversized inputs are
+    # refused the same way, one error event each.
+    errors = events[1 : 1 + len(OUT_OF_RANGE_SPECS)]
+    assert [e["event"] for e in errors] == ["error"] * len(OUT_OF_RANGE_SPECS)
+    assert all("query spec" in e["error"] for e in errors), errors
     assert events[-1]["event"] == "done"
     assert events[-1]["id"] == "ok" and events[-1]["completed"] is True
 

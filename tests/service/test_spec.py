@@ -6,9 +6,12 @@ import json
 
 import pytest
 
+from conftest import OUT_OF_RANGE_SPECS
 from repro.errors import ConfigurationError
 from repro.service.spec import (
     ALGORITHMS,
+    MAX_PLAN_RELATIONS,
+    MAX_SPEC_SIZE,
     QuerySpec,
     make_arrival,
     make_operator,
@@ -47,6 +50,21 @@ def test_from_dict_rejects_mistyped_fields(bad):
     (name,) = bad
     with pytest.raises(ConfigurationError, match=f"field {name!r}"):
         QuerySpec.from_dict(bad).build()
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE_SPECS)
+def test_from_dict_rejects_out_of_range_values(bad):
+    """Non-finite numbers, negative seeds and oversized inputs are
+    configuration errors raised while parsing, before any allocation."""
+    with pytest.raises(ConfigurationError, match="query spec"):
+        QuerySpec.from_dict(bad)
+
+
+def test_from_dict_accepts_the_largest_sizes():
+    spec = QuerySpec.from_dict({"n": MAX_SPEC_SIZE, "n_buckets": MAX_SPEC_SIZE})
+    assert spec.n == MAX_SPEC_SIZE
+    chain = QuerySpec.from_dict({"plan_shape": "chain", "n_way": MAX_PLAN_RELATIONS})
+    assert chain.n_way == MAX_PLAN_RELATIONS
 
 
 def test_build_produces_a_pending_query_for_every_algorithm():

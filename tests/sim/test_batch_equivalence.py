@@ -1,12 +1,14 @@
-"""Delivery-path equivalence: per-tuple vs fused-batch vs columnar.
+"""Delivery-path equivalence: per-tuple vs boxed-batch vs columnar.
 
-Run-batch delivery (``EventScheduler`` batch groups plus the operators'
-``on_tuple_batch`` fast paths) and columnar delivery (the same runs as
+Columnar delivery (``EventScheduler`` batch groups delivering runs as
 :class:`~repro.core.columnar.ColumnBatch` arrays, vectorized run
-extraction included) are amortisations, never simulation changes: for
-any workload all three kernel paths must produce the identical
-``(count, final clock, io)`` triple *and* the identical result-event
-sequence.  This suite pins that equivalence three ways:
+extraction included) and boxed run delivery (the same runs as tuple
+lists through ``on_tuple_batch``, which HMJ packs into columns for the
+same loop and every other operator replays per tuple) are
+amortisations, never simulation changes: for any workload all three
+kernel paths must produce the identical ``(count, final clock, io)``
+triple *and* the identical result-event sequence.  This suite pins
+that equivalence three ways:
 
 * every cell of the six pinned figure benchmarks (the exact scenarios
   ``test_determinism.py`` captures) through all three paths;
@@ -49,7 +51,7 @@ SCALE = BenchScale(n_per_source=400, seed=7)
 #: The full delivery axis: label -> engine path switches.
 PATHS = {
     "per_tuple": {"batch_delivery": False, "columnar_delivery": False},
-    "fused": {"batch_delivery": True, "columnar_delivery": False},
+    "boxed": {"batch_delivery": True, "columnar_delivery": False},
     "columnar": {"batch_delivery": True, "columnar_delivery": True},
 }
 
@@ -143,7 +145,7 @@ def _figure_cells():
 def test_figure_cells_identical_through_all_paths(cell):
     make_operator, arr_a, arr_b, kwargs = _figure_cells()[cell]
     signatures = _all_paths(make_operator, arr_a, arr_b, **kwargs)
-    assert signatures["fused"] == signatures["per_tuple"]
+    assert signatures["boxed"] == signatures["per_tuple"]
     assert signatures["columnar"] == signatures["per_tuple"]
 
 
@@ -188,7 +190,7 @@ def test_batched_paths_equivalent_on_random_workloads(
             **path,
         )
         signatures[label] = _signature(result)
-    assert signatures["fused"] == signatures["per_tuple"]
+    assert signatures["boxed"] == signatures["per_tuple"]
     assert signatures["columnar"] == signatures["per_tuple"]
 
 
@@ -226,7 +228,7 @@ def test_stop_after_halts_with_single_result_granularity():
             src_a.delivered,
             src_b.delivered,
         )
-    assert outcomes["fused"] == outcomes["per_tuple"]
+    assert outcomes["boxed"] == outcomes["per_tuple"]
     assert outcomes["columnar"] == outcomes["per_tuple"]
     signature, delivered_a, delivered_b = outcomes["columnar"]
     assert signature[0] >= stop_after
@@ -261,8 +263,44 @@ def test_retained_results_identical_across_paths(op_kind):
         sequences[label] = [
             (r.left.identity(), r.right.identity()) for r in result.results
         ]
-    assert sequences["fused"] == sequences["per_tuple"]
+    assert sequences["boxed"] == sequences["per_tuple"]
     assert sequences["columnar"] == sequences["per_tuple"]
+
+
+# -- subclass overrides stay authoritative ----------------------------------
+
+
+class _CountingHMJ(HashMergeJoin):
+    """HMJ whose per-tuple hook records every tuple it sees."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.seen = []
+
+    def on_tuple(self, t):
+        self.seen.append(t.identity())
+        super().on_tuple(t)
+
+
+def test_on_tuple_override_sees_every_tuple_once_on_every_path():
+    """Both batch hooks replay a subclass's ``on_tuple`` override.
+
+    Memory holds 10% of the input, so runs span flushes.  Every path
+    must route each arrival through the override exactly once and
+    produce plain HMJ's signature.
+    """
+    memory = SCALE.spec.memory_capacity(0.10)
+    rel_a, rel_b = make_relation_pair(SCALE.spec)
+    plain = _signature(
+        execute(rel_a, rel_b, _hmj(memory=memory), _fast(), _fast(), **PATHS["per_tuple"])
+    )
+    expected = sorted(t.identity() for t in (*rel_a, *rel_b))
+    for label, path in PATHS.items():
+        rel_a, rel_b = make_relation_pair(SCALE.spec)
+        operator = _CountingHMJ(HMJConfig(memory_capacity=memory))
+        result = execute(rel_a, rel_b, operator, _fast(), _fast(), **path)
+        assert sorted(operator.seen) == expected, label
+        assert _signature(result) == plain, label
 
 
 # -- the driver axis: a one-join plan is run_join ---------------------------

@@ -5,6 +5,8 @@ emits each signature with the first paragraph of its docstring.  Run
 after changing the public API::
 
     python tools/gen_api_docs.py
+
+``tests/integration/test_api_docs.py`` fails when ``docs/api.md`` is stale.
 """
 
 from __future__ import annotations
@@ -55,7 +57,12 @@ def describe(name: str, obj) -> list[str]:
     return lines
 
 
-def main() -> int:
+#: The generated file, relative to the repository root.
+TARGET = Path(__file__).resolve().parent.parent / "docs" / "api.md"
+
+
+def render() -> str:
+    """The text of ``docs/api.md`` for the current public surface."""
     by_module: dict[str, list[str]] = defaultdict(list)
     for name in repro.__all__:
         obj = getattr(repro, name)
@@ -79,10 +86,14 @@ def main() -> int:
             out.append("")
         for name in sorted(by_module[module]):
             out.extend(describe(name, getattr(repro, name)))
+    return "\n".join(out)
 
-    target = Path(__file__).resolve().parent.parent / "docs" / "api.md"
-    target.write_text("\n".join(out))
-    print(f"wrote {target} ({len(out)} lines, {len(repro.__all__)} symbols)")
+
+def main() -> int:
+    text = render()
+    TARGET.write_text(text)
+    lines = text.count("\n") + 1
+    print(f"wrote {TARGET} ({lines} lines, {len(repro.__all__)} symbols)")
     return 0
 
 
