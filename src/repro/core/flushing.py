@@ -156,53 +156,38 @@ class AdaptiveFlushingPolicy(FlushingPolicy):
             raise ConfigurationError(
                 "AdaptiveFlushingPolicy.prepare() must run before selection"
             )
-        candidates = self._require_nonempty(summary)
+        # One read of the summary: (g, |A_g|, |B_g|) rows of the
+        # non-empty groups, filtered step by step below.
+        candidates = [row for row in summary.rows() if row[1] + row[2] > 0]
+        if not candidates:
+            raise StorageError("flush requested but every bucket group is empty")
         a, b = self._a, self._b
         total_a, total_b = summary.total_a, summary.total_b
 
         if abs(total_a - total_b) < b:
             # Step 1 of Figure 8 — memory is balanced.
-            big_enough = [
-                g
-                for g in candidates
-                if summary.size("A", g) >= a and summary.size("B", g) >= a
-            ]
-            if big_enough:
-                candidates = big_enough
-            balance_keeping = [
-                g
-                for g in candidates
-                if abs(
-                    (total_a - summary.size("A", g))
-                    - (total_b - summary.size("B", g))
-                )
-                < b
-            ]
-            if balance_keeping:
-                candidates = balance_keeping
-            return [_argmax_total(candidates, summary)]
-
-        # Step 2 — memory is unbalanced: only skew-reducing pairs.
-        if total_a >= total_b:
-            skew_reducing = [
-                g for g in candidates if summary.size("A", g) >= summary.size("B", g)
-            ]
+            candidates = [
+                row for row in candidates if row[1] >= a and row[2] >= a
+            ] or candidates
+            candidates = [
+                row
+                for row in candidates
+                if abs((total_a - row[1]) - (total_b - row[2])) < b
+            ] or candidates
         else:
-            skew_reducing = [
-                g for g in candidates if summary.size("B", g) >= summary.size("A", g)
-            ]
-        if skew_reducing:
-            candidates = skew_reducing
-        # Steps 3-4 — prefer pairs meeting the size threshold.
-        big_enough = [
-            g
-            for g in candidates
-            if summary.size("A", g) >= a and summary.size("B", g) >= a
-        ]
-        if big_enough:
-            candidates = big_enough
-        # Step 5 — largest total among what is left.
-        return [_argmax_total(candidates, summary)]
+            # Step 2 — memory is unbalanced: only skew-reducing pairs.
+            if total_a >= total_b:
+                skew_reducing = [row for row in candidates if row[1] >= row[2]]
+            else:
+                skew_reducing = [row for row in candidates if row[2] >= row[1]]
+            candidates = skew_reducing or candidates
+            # Steps 3-4 — prefer pairs meeting the size threshold.
+            candidates = [
+                row for row in candidates if row[1] >= a and row[2] >= a
+            ] or candidates
+        # Step 5 — largest total among what is left; ties break to the
+        # lowest group index.
+        return [max(candidates, key=lambda row: (row[1] + row[2], -row[0]))[0]]
 
     def __repr__(self) -> str:
         return f"AdaptiveFlushingPolicy(a={self._a!r}, b={self._b!r})"

@@ -27,6 +27,7 @@ and is journaled, with pending timers dropped observably.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -66,6 +67,11 @@ class QueryStats:
 
 class QuerySession:
     """Admits and interleaves many queries on one session timeline.
+
+    Running tenants wait on a dispatch heap of ``(session time,
+    admission order, query)`` entries, so each step finds the globally
+    earliest tenant in O(log n) rather than by a scan; see :meth:`step`
+    for when entries are re-keyed.
 
     Args:
         memory: Aggregate memory budget in tuples shared by all
@@ -128,11 +134,17 @@ class QuerySession:
         self._stats: dict[str, QueryStats] = {}
         self._queued: deque[Query] = deque()
         self._running: list[Query] = []
+        # Dispatch heap over _running: (session time of the next event,
+        # position in _running, query).  A drained tenant keys at -inf
+        # so it concludes first.  Positions are admission order and
+        # stay valid because every removal from _running rebuilds.
+        self._ready: list[tuple[float, int, Query]] = []
+        self._ready_stale = False
         self._results: dict[str, object] = {}
         self._errors: dict[str, Exception] = {}
         self._listeners: list[ListenerFn] = []
         self._taps: dict[str, tuple] = {}
-        # Session-time schedule of (time, kind, payload): aggregate
+        # Session-time heap of (time, seq, kind, payload): aggregate
         # memory grants and scheduled cancellations, fired in order
         # before any query event at a later session instant.
         self._timeline: list[tuple[float, int, str, object]] = []
@@ -175,9 +187,9 @@ class QuerySession:
         self._push_timeline(float(time), "cancel", (query_id, reason))
 
     def _push_timeline(self, at: float, kind: str, payload) -> None:
-        self._timeline.append((at, self._timeline_seq, kind, payload))
+        # (at, seq) is unique, so kinds and payloads are never compared.
+        heapq.heappush(self._timeline, (at, self._timeline_seq, kind, payload))
         self._timeline_seq += 1
-        self._timeline.sort(key=lambda entry: (entry[0], entry[1]))
 
     # -- submission and admission -------------------------------------------
 
@@ -256,6 +268,7 @@ class QuerySession:
         query.start()
         query.session_offset = self.clock.now
         self._running.append(query)
+        self._ready_stale = True
         stats = self._stats[query.query_id]
         stats.admitted_at = self.clock.now
         stats.state = query.state.value
@@ -341,6 +354,7 @@ class QuerySession:
             return True
         # Running: the kernel stops at its next dispatch boundary; the
         # session concludes it on its next turn.
+        self._ready_stale = True
         return query.cancel(reason)
 
     # -- the loop ------------------------------------------------------------
@@ -351,28 +365,27 @@ class QuerySession:
         One call delivers exactly one of: a timeline event (aggregate
         grant or scheduled cancel), one kernel step of the globally
         earliest query, or the conclusion of a drained tenant.
+
+        The query comes off the dispatch heap, ordered by (session
+        time, admission order).  After a kernel step only the stepped
+        query is re-keyed.  Admission, conclusion, failure,
+        cancellation and every timeline event instead mark the heap
+        stale, and the next call rebuilds it from every running
+        query's ``next_event_time()``.
         """
         self._admit_queued()
-        # A drained tenant (no dispatchable event left — e.g. empty
-        # sources) concludes before anything else so its memory frees.
-        for query in self._running:
-            if query.next_event_time() is None:
-                self._conclude(query)
-                return True
-        # The globally earliest query event, in (session time,
-        # admission order) — admission order is _running order.
-        chosen: Query | None = None
-        chosen_at = math.inf
-        for query in self._running:
-            at = query.next_event_time()
-            if at is None:  # pragma: no cover - concluded above
-                continue
-            at += query.session_offset
-            if at < chosen_at:
-                chosen = query
-                chosen_at = at
+        if self._ready_stale:
+            self._rebuild_ready()
+        ready = self._ready
+        chosen_at = ready[0][0] if ready else math.inf
+        if chosen_at == -math.inf:
+            # A drained tenant (no dispatchable event left — e.g. empty
+            # sources) concludes before anything else so its memory
+            # frees; several conclude in admission order.
+            self._conclude(ready[0][2])
+            return True
         next_timeline = self._timeline[0][0] if self._timeline else math.inf
-        if min(chosen_at, next_timeline) is math.inf:
+        if min(chosen_at, next_timeline) == math.inf:
             if self._queued:
                 # Tenants are waiting but nothing can ever admit them.
                 head = self._queued[0]
@@ -382,12 +395,13 @@ class QuerySession:
                 )
             return False
         if next_timeline <= chosen_at:
-            at, _, kind, payload = self._timeline.pop(0)
+            at, _, kind, payload = heapq.heappop(self._timeline)
             self.clock.advance_to(at)
+            self._ready_stale = True
             self._fire_timeline(kind, payload)
             return True
+        _, position, chosen = ready[0]
         self.clock.advance_to(chosen_at)
-        assert chosen is not None
         try:
             alive = chosen.step()
         except Exception as exc:
@@ -395,7 +409,18 @@ class QuerySession:
             return True
         if not alive:
             self._conclude(chosen)
+        elif not self._ready_stale:
+            heapq.heapreplace(ready, (_dispatch_time(chosen), position, chosen))
         return True
+
+    def _rebuild_ready(self) -> None:
+        ready = [
+            (_dispatch_time(query), position, query)
+            for position, query in enumerate(self._running)
+        ]
+        heapq.heapify(ready)
+        self._ready = ready
+        self._ready_stale = False
 
     def run(self) -> dict[str, object]:
         """Serve until every submitted query concluded; returns results."""
@@ -420,6 +445,7 @@ class QuerySession:
     def _rebalance(self) -> dict[str, int]:
         if self.broker is None:
             return {}
+        self._ready_stale = True  # resizes may charge running clocks
         return self.broker.rebalance(self._running)
 
     def _conclude(self, query: Query) -> None:
@@ -445,6 +471,7 @@ class QuerySession:
     ) -> None:
         if query in self._running:
             self._running.remove(query)
+            self._ready_stale = True
             if self.broker is not None:
                 self._rebalance()  # the leaver's share redistributes
         entry = self._taps.pop(query.query_id, None)
@@ -505,3 +532,9 @@ class QuerySession:
     def errors(self) -> dict[str, Exception]:
         """Captured per-tenant exceptions (``on_error='capture'``)."""
         return dict(self._errors)
+
+
+def _dispatch_time(query: Query) -> float:
+    """Session time of the query's next event; -inf once drained."""
+    at = query.next_event_time()
+    return -math.inf if at is None else at + query.session_offset

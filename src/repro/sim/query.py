@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.broker import MIN_OPERATOR_SHARE, bounded_shares
@@ -338,20 +338,3 @@ class Query:
 
 def _always_stop() -> bool:
     return True
-
-
-def queries_by_next_event(queries: Sequence[Query]) -> Query | None:
-    """The running query whose next event is globally earliest.
-
-    Ties break by position in ``queries`` (admission order), mirroring
-    the kernel's own registration-order tie-break.  ``None`` when no
-    query has a dispatchable event left.
-    """
-    best: Query | None = None
-    best_time = math.inf
-    for query in queries:
-        at = query.next_event_time()
-        if at is not None and at < best_time:
-            best = query
-            best_time = at
-    return best

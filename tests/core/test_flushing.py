@@ -8,6 +8,8 @@ those walkthroughs are asserted verbatim here.
 """
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, StorageError
 from repro.core.flushing import (
@@ -219,6 +221,120 @@ def test_adaptive_ties_break_to_lowest_group():
         table.add(SOURCE_B, g, 5)
     policy = prepared_adaptive(a=1, b=100)
     assert policy.select_victims(table) == [0]
+
+
+def _size_based_victim(summary: BucketSummaryTable, a: float, b: float) -> int:
+    """Figure 8 over per-group ``summary.size()`` calls: the oracle.
+
+    The rule as it stood before :meth:`AdaptiveFlushingPolicy.select_victims`
+    moved to one ``summary.rows()`` read; the two must agree bit for bit.
+    """
+    candidates = summary.nonempty_groups()
+    total_a, total_b = summary.total_a, summary.total_b
+
+    def argmax_total(groups):
+        return max(groups, key=lambda g: (summary.pair_total(g), -g))
+
+    if abs(total_a - total_b) < b:
+        big_enough = [
+            g
+            for g in candidates
+            if summary.size("A", g) >= a and summary.size("B", g) >= a
+        ]
+        if big_enough:
+            candidates = big_enough
+        balance_keeping = [
+            g
+            for g in candidates
+            if abs((total_a - summary.size("A", g)) - (total_b - summary.size("B", g)))
+            < b
+        ]
+        if balance_keeping:
+            candidates = balance_keeping
+        return argmax_total(candidates)
+    if total_a >= total_b:
+        skew_reducing = [
+            g for g in candidates if summary.size("A", g) >= summary.size("B", g)
+        ]
+    else:
+        skew_reducing = [
+            g for g in candidates if summary.size("B", g) >= summary.size("A", g)
+        ]
+    if skew_reducing:
+        candidates = skew_reducing
+    big_enough = [
+        g
+        for g in candidates
+        if summary.size("A", g) >= a and summary.size("B", g) >= a
+    ]
+    if big_enough:
+        candidates = big_enough
+    return argmax_total(candidates)
+
+
+@st.composite
+def _summaries_and_thresholds(draw):
+    """A non-empty summary table plus ``(a, b)``, boundaries included.
+
+    Counts come from a narrow range half the time, so equal totals
+    (argmax ties) and exactly balanced memory are common; ``a`` and
+    ``b`` are often drawn *at* a group size or the imbalance, where
+    the rule's ``>=`` and ``<`` comparisons flip.
+    """
+    n_groups = draw(st.integers(1, 6))
+    high = draw(st.sampled_from([3, 12]))
+    counts = st.lists(
+        st.integers(0, high), min_size=n_groups, max_size=n_groups
+    )
+    sizes_a, sizes_b = draw(counts), draw(counts)
+    if not any(sizes_a) and not any(sizes_b):
+        sizes_a[draw(st.integers(0, n_groups - 1))] = 1
+    table = BucketSummaryTable(n_groups)
+    for g, (na, nb) in enumerate(zip(sizes_a, sizes_b)):
+        table.add(SOURCE_A, g, na)
+        table.add(SOURCE_B, g, nb)
+    total_a, total_b = sum(sizes_a), sum(sizes_b)
+    # a at some group's smaller side: that group just meets it.
+    a_edges = [0] + [min(na, nb) for na, nb in zip(sizes_a, sizes_b)]
+    # b at the imbalance now, or at the one left after flushing some
+    # group: the balanced test or that group's balance test just fails.
+    b_edges = [abs(total_a - total_b)] + [
+        abs((total_a - na) - (total_b - nb)) for na, nb in zip(sizes_a, sizes_b)
+    ]
+    b_edges += [edge + 1 for edge in b_edges]
+    a = draw(
+        st.one_of(
+            st.sampled_from(a_edges), st.floats(0, 2 * high, allow_nan=False)
+        )
+    )
+    b = draw(
+        st.one_of(
+            st.sampled_from([edge for edge in b_edges if edge > 0]),
+            st.floats(0.5, 4 * high, allow_nan=False),
+        )
+    )
+    return table, a, b
+
+
+def _table(pairs: list[tuple[int, int]]) -> BucketSummaryTable:
+    table = BucketSummaryTable(len(pairs))
+    for g, (na, nb) in enumerate(pairs):
+        table.add(SOURCE_A, g, na)
+        table.add(SOURCE_B, g, nb)
+    return table
+
+
+@given(_summaries_and_thresholds())
+# The largest pair meets a exactly, on its A side, then on its B side.
+@example((_table([(5, 10), (6, 6)]), 5, 100))
+@example((_table([(10, 5), (6, 6)]), 5, 100))
+# Flushing the largest pair leaves an imbalance of exactly b.
+@example((_table([(2, 12), (1, 1), (9, 0)]), 0, 9))
+def test_adaptive_victim_matches_the_size_based_rule(case):
+    table, a, b = case
+    policy = AdaptiveFlushingPolicy(a=a, b=b)
+    policy.prepare(memory_capacity=100, n_groups=table.n_groups)
+    assert policy.select_victims(table) == [_size_based_victim(table, a, b)]
 
 
 def test_policy_names():

@@ -248,3 +248,82 @@ def test_sixteen_tenants_with_sufficient_memory_match_solo():
         solo = s.build()
         solo.run()
         assert query.triple() == solo.triple(), s.query_id
+
+
+def test_identical_tenants_dispatch_in_admission_order():
+    # Equal session times break to admission order: of two identical
+    # kernels, the one admitted first is dispatched first, and it never
+    # falls behind the other.
+    for ids in (("a", "b"), ("b", "a")):
+        session = QuerySession()
+        queries = [
+            session.submit(QuerySpec(query_id=query_id, n=60).build())
+            for query_id in ids
+        ]
+        order: list[str] = []
+        for query in queries:
+            inner = query.step
+
+            def step(query=query, inner=inner):
+                order.append(query.query_id)
+                return inner()
+
+            query.step = step
+        session.run()
+        assert order[0] == ids[0]
+        steps = dict.fromkeys(ids, 0)
+        for query_id in order:
+            steps[query_id] += 1
+            assert steps[ids[0]] >= steps[ids[1]]
+        assert steps[ids[0]] == steps[ids[1]]
+
+
+def test_failing_tenant_is_isolated_from_its_co_tenants():
+    # A real HMJ tenant whose operator raises after N tuples is marked
+    # FAILED; with sufficient aggregate memory every co-tenant still
+    # reproduces its solo triple exactly.
+    specs = [spec(i, n=160) for i in range(4)]
+    bad_spec = spec(9, n=160)
+    aggregate = sum(s.memory_budget() for s in [*specs, bad_spec])
+    session = QuerySession(memory=aggregate, on_error="capture")
+    bad = bad_spec.build()
+    operator = bad.driver.operators()[0][1]
+    inner = operator.on_tuple
+    seen = [0]
+
+    def on_tuple(t):
+        seen[0] += 1
+        if seen[0] > 50:
+            raise RuntimeError("operator fault")
+        inner(t)
+
+    operator.on_tuple = on_tuple
+    queries = [session.submit(s.build()) for s in specs[:2]]
+    session.submit(bad)
+    queries += [session.submit(s.build()) for s in specs[2:]]
+    session.run()
+    assert bad.state is QueryState.FAILED
+    assert seen[0] == 51
+    assert str(session.errors[bad.query_id]) == "operator fault"
+    for s, query in zip(specs, queries):
+        assert query.state is QueryState.DONE and query.completed, s.query_id
+        solo = s.build()
+        solo.run()
+        assert query.triple() == solo.triple(), s.query_id
+
+
+def test_drained_tenants_conclude_first_in_admission_order():
+    # Tenants with no event left (empty sources) conclude before any
+    # kernel step is dispatched, in admission order.
+    session = QuerySession()
+    events: list[tuple[str, str]] = []
+    session.add_listener(lambda kind, query, detail: events.append((kind, query.query_id)))
+    busy = session.submit(QuerySpec(query_id="busy", n=40).build())
+    for query_id in ("empty-1", "empty-2"):
+        empty = QuerySpec(query_id=query_id, n=0, key_range=10, rate=10.0, memory=8)
+        session.submit(empty.build())
+    assert session.step() and session.step()
+    assert events[-2:] == [("done", "empty-1"), ("done", "empty-2")]
+    assert busy.clock.now == 0.0
+    session.run()
+    assert busy.state is QueryState.DONE and busy.completed

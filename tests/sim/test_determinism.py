@@ -205,6 +205,73 @@ def scenario_session() -> dict[str, Triple]:
     return {"session-hmj": hmj.triple(), "session-xjoin": xjoin.triple()}
 
 
+def scenario_session_contended() -> dict[str, tuple]:
+    """Twelve HMJ tenants contending for half their summed requests.
+
+    Unlike :func:`scenario_session`, every grant here is binding, so
+    the order in which the session dispatches tenants decides who
+    holds memory when, and with it every tenant's numbers.  Ten run at
+    once and two queue; a listener submits a thirteenth tenant on the
+    first ``done``; one tenant is cancelled mid-run; the aggregate is
+    revoked to a third and later restored.
+
+    The tenants come in identical pairs, so equal session times are
+    common and the admission-order tie rule decides which of a pair
+    goes first.  Constant arrivals at 64/s sit on exact binary
+    fractions, so the revocation at 0.5 s ties with tenant events and
+    must fire first.  Every other pair draws keys from a narrow range,
+    so results are dense and a tenant dispatched at a stale session
+    time shows in the event log.
+
+    Each tenant is pinned by its triple, the session time of its 5th
+    result and its final state.  The listener's ``(kind, query,
+    session clock)`` sequence, streamed results included, is pinned
+    by its length and digest.
+    """
+    import hashlib
+
+    from repro.service.session import QuerySession
+    from repro.service.spec import QuerySpec
+
+    specs = [
+        QuerySpec(
+            query_id=f"t{i:02d}",
+            n=128,
+            key_range=64 if (i // 2) % 2 else None,
+            seed=7 + 101 * (i // 2),
+            arrival="poisson" if i % 3 == 2 else "constant",
+        )
+        for i in range(12)
+    ]
+    aggregate = sum(s.memory_budget() for s in specs) // 2
+    session = QuerySession(memory=aggregate, max_concurrent=10)
+    events: list[tuple[str, str, float]] = []
+    late: list = []
+
+    def listener(kind, query, detail) -> None:
+        events.append((kind, query.query_id, session.clock.now))
+        if kind == "done" and not late:
+            late_spec = QuerySpec(query_id="late", n=120, seed=5)
+            late.append(session.submit(late_spec.build(), track_first_k=5))
+
+    session.add_listener(listener)
+    queries = [
+        session.submit(s.build(), stream_results=True, track_first_k=5)
+        for s in specs
+    ]
+    session.cancel_at(0.9, "t05")
+    session.schedule_memory([(0.5, aggregate // 3), (1.4, aggregate)])
+    session.run()
+    pins: dict[str, tuple] = {
+        q.query_id: q.triple()
+        + (session.stats(q.query_id).first_k_at, q.state.value)
+        for q in queries + late
+    }
+    digest = hashlib.sha256(repr(events).encode()).hexdigest()[:16]
+    pins["events"] = (len(events), digest)
+    return pins
+
+
 def scenario_plans() -> dict[str, Triple]:
     """N-way plan pins: a bushy tree and a shared-hub star.
 
@@ -273,12 +340,13 @@ SCENARIOS = {
     "delivery": scenario_delivery,
     "broker": scenario_broker,
     "session": scenario_session,
+    "session-contended": scenario_session_contended,
     "plans": scenario_plans,
 }
 
 #: (count, final clock, io_count) per run, captured from the seed's
 #: pre-kernel loops (commit 28c142c) at SCALE.  Exact equality required.
-EXPECTED: dict[str, dict[str, Triple]] = {
+EXPECTED: dict[str, dict[str, tuple]] = {
     "fig09": {"hmj-p05": (189, 3.994769170021071, 398)},
     "fig10": {
         "hmj-adaptive": (189, 3.994769170021071, 398),
@@ -320,6 +388,26 @@ EXPECTED: dict[str, dict[str, Triple]] = {
     "session": {
         "session-hmj": (189, 3.994769170021071, 398),
         "session-xjoin": (189, 8.3631269999999, 835),
+    },
+    # Contended session: binding grants, queueing, a listener-driven
+    # late submission, a mid-run cancel and an aggregate revocation.
+    # Captured with the linear-scan dispatch loop the heap replaced;
+    # the heap keeps its (session time, admission order) rule exactly.
+    "session-contended": {
+        "events": (1870, "02aef952e4e5c8c4"),
+        "late": (53, 3.47366733333332, 261, 3.370017, "done"),
+        "t00": (66, 4.450440999999987, 428, 2.000005, "done"),
+        "t01": (66, 4.450440999999987, 428, 2.000005, "done"),
+        "t02": (259, 4.461290404707518, 431, 2.0103376498200003, "done"),
+        "t03": (259, 4.450971000000016, 423, 2.0100069999999994, "done"),
+        "t04": (69, 4.490432893852976, 434, 2.0900001389654888, "done"),
+        "t05": (0, 0.9094871400449897, 77, None, "cancelled"),
+        "t06": (245, 4.633383039100023, 449, 2.1024875293250127, "done"),
+        "t07": (245, 4.633383039100023, 449, 2.1024875293250127, "done"),
+        "t08": (62, 4.560730649819978, 442, 2.0903108949324913, "done"),
+        "t09": (62, 4.475848264662495, 430, 2.0954265097750056, "done"),
+        "t10": (254, 4.175235754887482, 376, 2.9138791400449895, "done"),
+        "t11": (254, 3.473340858033262, 272, 3.922607858033281, "done"),
     },
     # N-way plan pins (bushy tree, shared-hub star), captured at the
     # watermark-reordering introduction.  Each shape's "disordered"

@@ -20,7 +20,7 @@ from repro.net.arrival import ConstantRate
 from repro.net.source import NetworkSource
 from repro.sim.broker import MIN_OPERATOR_SHARE, ResourceBroker
 from repro.sim.engine import JoinSimulation, run_join
-from repro.sim.query import Query, QueryState, queries_by_next_event
+from repro.sim.query import Query, QueryState
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
 SPEC = WorkloadSpec(n_a=120, n_b=120, key_range=180, seed=13)
@@ -161,13 +161,3 @@ def test_apply_grant_caps_at_request_and_skips_noops():
     assert operator.memory_capacity() == 20
     # Re-granting the same total is a no-op again.
     assert query.apply_grant(20) is None
-
-
-def test_queries_by_next_event_orders_and_breaks_ties_by_position():
-    first, second = Query(make_sim(), query_id="a"), Query(make_sim(), query_id="b")
-    first.start()
-    second.start()
-    # Identical kernels: identical next event; the earlier entry wins.
-    assert queries_by_next_event([first, second]) is first
-    assert queries_by_next_event([second, first]) is second
-    assert queries_by_next_event([]) is None
