@@ -31,6 +31,7 @@ from repro.storage.memory import MemoryPool
 from repro.storage.tuples import (
     SOURCE_A,
     SOURCE_B,
+    RelationColumns,
     Tuple,
     sort_columns_by_key,
 )
@@ -362,19 +363,25 @@ class HashMergeJoin(StreamingJoinOperator):
         one source — so no ``Tuple`` is ever boxed between hash table
         and disk block.  Charges are identical either way: one sort
         charge per side, then the block-pair write.
+
+        The summary row says how many tuples each side holds before
+        anything is extracted.  Small grants flush every few arrivals,
+        so most sides hold zero or one tuple: an empty side is neither
+        extracted nor charged (``register_flush_columns`` takes
+        ``None`` for it), and a one-tuple side is written unsorted and
+        uncharged.  Both skips are exact: ``sort_time(n)`` is ``0.0``
+        for ``n < 2``, and advancing the clock by ``0.0`` leaves it
+        unchanged.
         """
         if self.config.merge_path == "columnar":
-            cols_a = self.table.extract_group_columns(SOURCE_A, group)
-            cols_b = self.table.extract_group_columns(SOURCE_B, group)
-            n = len(cols_a) + len(cols_b)
+            n_a, n_b = self.table.summary.pair_sizes(group)
+            n = n_a + n_b
             if n == 0:
                 return 0
-            self.charge_sort(len(cols_a))
-            self.charge_sort(len(cols_b))
             self.scheduler.register_flush_columns(
                 group,
-                sort_columns_by_key(cols_a),
-                sort_columns_by_key(cols_b),
+                self._sorted_side(SOURCE_A, group, n_a),
+                self._sorted_side(SOURCE_B, group, n_b),
             )
             self.memory.release(n)
             return n
@@ -390,6 +397,22 @@ class HashMergeJoin(StreamingJoinOperator):
         self.scheduler.register_flush(group, tuples_a, tuples_b)
         self.memory.release(n)
         return n
+
+    def _sorted_side(
+        self, source: str, group: int, n: int
+    ) -> RelationColumns | None:
+        """Extract and key-sort one side of a flushing group (columnar).
+
+        ``n`` is the side's summary count; ``None`` stands for an empty
+        side.
+        """
+        if n == 0:
+            return None
+        cols = self.table.extract_group_columns(source, group)
+        if n > 1:
+            self.charge_sort(n)
+            cols = sort_columns_by_key(cols)
+        return cols
 
     def _final_flush(self, budget: WorkBudget) -> None:
         """Flush all remaining in-memory groups at end of input.

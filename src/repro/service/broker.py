@@ -159,9 +159,11 @@ class SharedBroker:
 
         Returns the granted ``{query_id: total}`` map for the tenants
         that participate in arbitration (queries whose operators have
-        no memory budget are unaffected).  Applying each grant skips
-        no-op resizes, so a budget covering every request changes
-        nothing.  If the aggregate has been revoked below the sum of
+        no memory budget are unaffected).  A tenant whose grant equals
+        the total it last applied is not re-granted, and applying a
+        grant skips no-op resizes, so a budget covering every request
+        changes nothing and a rebalance works only on the tenants whose
+        grant moved.  If the aggregate has been revoked below the sum of
         floors (admission control normally prevents this, but a shrink
         schedule can race in-flight tenants), grants clamp at the
         floors rather than evicting anyone.
@@ -185,7 +187,8 @@ class SharedBroker:
         for query, floor, share in zip(tenants, per_query_floors, shares):
             grant = floor + share
             grants[query.query_id] = grant
-            query.apply_grant(grant)
+            if grant != query.granted_total:
+                query.apply_grant(grant)
         return grants
 
     def __repr__(self) -> str:

@@ -121,6 +121,12 @@ class Query:
             capacity = operator.memory_capacity()
             if capacity is not None:
                 self._grant_ops.append((label, operator, int(capacity)))
+        # The split of a total is a pure function of the total and the
+        # fixed capacities above, so it is computed once per total.
+        self._splits: dict[int, list[int]] = {}
+        #: The total of the last :meth:`apply_grant` (``None`` before
+        #: the first), so a broker can skip re-granting it.
+        self.granted_total: int | None = None
 
     # -- driver surface ------------------------------------------------------
 
@@ -183,17 +189,21 @@ class Query:
         """
         if not self._grant_ops:
             return None
-        shares = bounded_shares(
-            total,
-            [capacity for _, _, capacity in self._grant_ops],
-            [float(capacity) for _, _, capacity in self._grant_ops],
-        )
+        shares = self._splits.get(total)
+        if shares is None:
+            shares = bounded_shares(
+                total,
+                [capacity for _, _, capacity in self._grant_ops],
+                [float(capacity) for _, _, capacity in self._grant_ops],
+            )
+            self._splits[total] = shares
         applied: dict[str, int] = {}
         for (label, operator, _), share in zip(self._grant_ops, shares):
             if operator.memory_capacity() == share:
                 continue
             operator.resize_memory(share)
             applied[label] = share
+        self.granted_total = total
         if not applied:
             return None
         journal = self._driver.journal
